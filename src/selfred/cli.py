@@ -2,8 +2,9 @@
 formulas, verify against brute force, and emit JSONL traces plus CSV
 summaries.
 
-Identical configurations (flags and seeds) produce byte-identical trace and
-summary files; wall time is reported on the console only.
+Each algorithm is one entry of ``ALGORITHMS``.  Identical configurations
+(flags and seeds) produce byte-identical trace and summary files; wall time
+is reported on the console only.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .counting import count_via_enumerator, demonstrate_naive_failure
 from .errors import InvalidParams, SelfReducibilityError
@@ -40,7 +42,7 @@ from .oracles import (
     simulated_sparse_coreduction,
     simulated_tally_reduction,
 )
-from .pruning import decide_via_sparse, decide_via_tally
+from .pruning import SPARSE_MODES, decide_via_sparse, decide_via_tally
 from .selector import decide_via_selector
 
 SUMMARY_COLUMNS = [
@@ -55,13 +57,6 @@ SUMMARY_COLUMNS = [
     "oracle_calls",
     "max_width",
 ]
-
-_DEFAULT_STYLES = {
-    "selector": ("honest", SELECTOR_STYLES),
-    "tally": ("canonical", TALLY_STYLES),
-    "sparse": ("singleton", SPARSE_STYLES),
-    "enum_count": ("exact_plus_offset", ENUMERATOR_STYLES),
-}
 
 
 @dataclass
@@ -93,101 +88,98 @@ class RunRecord:
     trace_rows: list[dict] = field(default_factory=list)
 
 
-def _make_oracle(config: ExperimentConfig):
-    if config.algorithm == "selector":
-        if config.oracle_style == "honest":
-            return honest_selector()
-        return adversarial_selector(config.seed)
-    if config.algorithm == "tally":
-        return simulated_tally_reduction(config.oracle_style)
-    if config.algorithm == "sparse":
-        return simulated_sparse_coreduction(config.oracle_style, seed=config.seed)
-    if config.algorithm == "enum_count":
-        return honest_two_enumerator(config.oracle_style, seed=config.seed)
-    raise InvalidParams(f"unknown algorithm {config.algorithm!r}")
+def _path_result(verdict: bool, trace) -> tuple:
+    rows = [
+        {
+            "depth": depth,
+            "split_var": step.split_var,
+            "branch": step.chosen_branch,
+            "formula": step.chosen_formula,
+        }
+        for depth, step in enumerate(trace.steps)
+    ]
+    return verdict, trace.oracle_calls, 1, rows
 
 
-def _level_trace_rows(formula_id: int, algorithm: str, stats) -> list[dict]:
+def _level_result(verdict: bool, stats) -> tuple:
     rows = []
     for level, (pre, post) in zip(stats.levels, stats.widths):
         row = {
-            "formula_id": formula_id,
-            "algorithm": algorithm,
             "depth": level.depth,
             "pre_prune_width": pre,
             "post_prune_width": post,
             "images": level.images,
-            "prune_events": [
-                {
-                    "kind": event.kind,
-                    "discarded": event.discarded,
-                    "surviving_image": event.surviving_image,
-                }
-                for event in level.prune_events
-            ],
+            "prune_events": [vars(event) for event in level.prune_events],
         }
-        if algorithm == "sparse":
+        if stats.threshold is not None:  # sparse
             row["threshold"] = stats.threshold
             row["crossed"] = stats.crossed_at is not None and level.depth >= stats.crossed_at
             row["capped"] = level.depth in stats.capped_levels
         rows.append(row)
-    return rows
+    return verdict, stats.oracle_calls, stats.max_width, rows
+
+
+def _solve_count(formula: Formula, oracle) -> tuple:
+    before = oracle.call_counter
+    count, chain = count_via_enumerator(formula, oracle)
+    rows = [
+        {
+            "depth": linkage.depth,
+            "child": serialize(linkage.child),
+            "triples": [[t.a, t.b, t.c] for t in linkage.triples or ()],
+            "linkage": sorted(linkage.mapping.items()),
+        }
+        for linkage in chain
+    ]
+    return count, oracle.call_counter - before, None, rows
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    styles: tuple[str, ...]  # the default style first
+    make_oracle: Callable[[ExperimentConfig], object]
+    # (config, oracle, formula) -> (result, oracle calls, max width, trace rows)
+    solve: Callable[[ExperimentConfig, object, Formula], tuple]
+    reference: Callable[[Formula], bool | int]
+
+
+# Entries call the deciders, the counter and the brute-force references through
+# this module's globals at call time, so rebinding those names reaches them.
+ALGORITHMS = {
+    "selector": Algorithm(
+        SELECTOR_STYLES,
+        lambda c: honest_selector() if c.oracle_style == "honest" else adversarial_selector(c.seed),
+        lambda c, oracle, formula: _path_result(*decide_via_selector(formula, oracle)),
+        lambda formula: brute_force_sat(formula),
+    ),
+    "tally": Algorithm(
+        TALLY_STYLES,
+        lambda c: simulated_tally_reduction(c.oracle_style),
+        lambda c, oracle, formula: _level_result(*decide_via_tally(formula, oracle)),
+        lambda formula: brute_force_sat(formula),
+    ),
+    "sparse": Algorithm(
+        SPARSE_STYLES,
+        lambda c: simulated_sparse_coreduction(c.oracle_style, seed=c.seed),
+        lambda c, oracle, formula: _level_result(*decide_via_sparse(formula, oracle, c.mode)),
+        lambda formula: brute_force_sat(formula),
+    ),
+    "enum_count": Algorithm(
+        ENUMERATOR_STYLES,
+        lambda c: honest_two_enumerator(c.oracle_style, seed=c.seed),
+        lambda c, oracle, formula: _solve_count(formula, oracle),
+        lambda formula: brute_force_count(formula),
+    ),
+}
 
 
 def _run_one(config: ExperimentConfig, oracle, formula_id: int, formula: Formula) -> RunRecord:
+    algorithm = ALGORITHMS[config.algorithm]
     start = time.perf_counter()
-    reference: bool | int | None = None
-    if config.algorithm == "selector":
-        verdict, trace = decide_via_selector(formula, oracle)
-        result: bool | int = verdict
-        oracle_calls = trace.oracle_calls
-        max_width: int | None = 1
-        trace_rows = [
-            {
-                "formula_id": formula_id,
-                "algorithm": "selector",
-                "depth": depth,
-                "split_var": step.split_var,
-                "branch": step.chosen_branch,
-                "formula": step.chosen_formula,
-            }
-            for depth, step in enumerate(trace.steps)
-        ]
-        if config.verify:
-            reference = brute_force_sat(formula)
-    elif config.algorithm in ("tally", "sparse"):
-        if config.algorithm == "tally":
-            verdict, stats = decide_via_tally(formula, oracle)
-        else:
-            verdict, stats = decide_via_sparse(formula, oracle, config.mode)
-        result = verdict
-        oracle_calls = stats.oracle_calls
-        max_width = stats.max_width
-        trace_rows = _level_trace_rows(formula_id, config.algorithm, stats)
-        if config.verify:
-            reference = brute_force_sat(formula)
-    elif config.algorithm == "enum_count":
-        before = oracle.call_counter
-        count, chain = count_via_enumerator(formula, oracle)
-        result = count
-        oracle_calls = oracle.call_counter - before
-        max_width = None
-        trace_rows = [
-            {
-                "formula_id": formula_id,
-                "algorithm": "enum_count",
-                "depth": linkage.depth,
-                "child": serialize(linkage.child),
-                "triples": [[t.a, t.b, t.c] for t in linkage.triples or ()],
-                "linkage": sorted(linkage.mapping.items()),
-            }
-            for linkage in chain
-        ]
-        if config.verify:
-            reference = brute_force_count(formula)
-    else:
-        raise InvalidParams(f"unknown algorithm {config.algorithm!r}")
-
+    result, oracle_calls, max_width, trace_rows = algorithm.solve(config, oracle, formula)
+    for row in trace_rows:
+        row.update(formula_id=formula_id, algorithm=config.algorithm)
+    reference = algorithm.reference(formula) if config.verify else None
     elapsed = time.perf_counter() - start
     agree = None if reference is None else result == reference
     return RunRecord(
@@ -226,30 +218,23 @@ def write_outputs(records: list[RunRecord], config: ExperimentConfig) -> None:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(SUMMARY_COLUMNS)
             for r in records:
-                writer.writerow(
-                    [
-                        _cell(r.formula_id),
-                        _cell(r.vars),
-                        _cell(r.algorithm),
-                        _cell(r.oracle_style),
-                        _cell(r.seed),
-                        _cell(r.result),
-                        _cell(r.reference),
-                        _cell(r.agree),
-                        _cell(r.oracle_calls),
-                        _cell(r.max_width),
-                    ]
-                )
+                writer.writerow([_cell(getattr(r, column)) for column in SUMMARY_COLUMNS])
 
 
 def run(config: ExperimentConfig) -> list[RunRecord]:
     """Execute the configured algorithm on every formula, in input order."""
-    default_style, styles = _DEFAULT_STYLES[config.algorithm]
-    if config.oracle_style not in styles:
+    algorithm = ALGORITHMS.get(config.algorithm)
+    if algorithm is None:
+        raise InvalidParams(
+            f"unknown algorithm {config.algorithm!r}; choose from {tuple(ALGORITHMS)}"
+        )
+    if config.oracle_style not in algorithm.styles:
         raise InvalidParams(
             f"oracle style {config.oracle_style!r} not valid for {config.algorithm}; "
-            f"choose from {styles}"
+            f"choose from {algorithm.styles}"
         )
+    if config.mode not in SPARSE_MODES:
+        raise InvalidParams(f"unknown sparse mode {config.mode!r}; choose from {SPARSE_MODES}")
     if config.verify:
         limit = brute_force_limit()
         for formula in config.formulas:
@@ -259,7 +244,7 @@ def run(config: ExperimentConfig) -> list[RunRecord]:
                     f"limit of {limit}; rerun with --no-verify or raise "
                     f"SELFRED_BRUTE_LIMIT"
                 )
-    oracle = _make_oracle(config)
+    oracle = algorithm.make_oracle(config)
     records = []
     for formula_id, formula in enumerate(config.formulas):
         records.append(_run_one(config, oracle, formula_id, formula))
@@ -283,7 +268,10 @@ def _load_formulas(args: argparse.Namespace) -> list[Formula]:
             raise InvalidParams(f"--random expects key=value items, got {item!r}")
         if key not in ("vars", "count", "seed", "budget"):
             raise InvalidParams(f"unknown --random key {key!r}")
-        params[key] = int(value)
+        try:
+            params[key] = int(value)
+        except ValueError:
+            raise InvalidParams(f"--random {key} must be an integer, got {value!r}") from None
     if "vars" not in params:
         raise InvalidParams("--random requires vars=<n>")
     var_count = params["vars"]
@@ -334,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(decide)
     decide.add_argument(
         "--mode",
-        choices=["early_accept", "capped_continue"],
+        choices=SPARSE_MODES,
         default="early_accept",
         help="sparse decider mode (default early_accept)",
     )
@@ -410,11 +398,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gen":
             return _run_gen(args)
         algorithm = "enum_count" if args.command == "count" else args.algorithm
-        default_style, _ = _DEFAULT_STYLES[algorithm]
         config = ExperimentConfig(
             algorithm=algorithm,
             formulas=_load_formulas(args),
-            oracle_style=args.oracle or default_style,
+            oracle_style=args.oracle or ALGORITHMS[algorithm].styles[0],
             seed=args.seed,
             mode=getattr(args, "mode", "early_accept"),
             verify=args.verify,

@@ -26,6 +26,7 @@ from typing import Iterator, Mapping, Union
 from .errors import (
     FormulaSyntaxError,
     IncompleteAssignment,
+    InvalidParams,
     NoVariables,
     TooLarge,
     UnknownVariable,
@@ -54,30 +55,28 @@ class Not:
     child: "Formula"
 
 
-@dataclass(frozen=True, init=False)
-class And:
-    children: tuple["Formula", ...]
+class _Connective:
+    """Shared constructor of the n-ary connectives: children of the same
+    connective are flattened in place, and at least two must remain."""
 
     def __init__(self, *children: "Formula") -> None:
+        kind = type(self)
         flat: list[Formula] = []
         for child in children:
-            flat.extend(child.children if isinstance(child, And) else (child,))
+            flat.extend(child.children if isinstance(child, kind) else (child,))
         if len(flat) < 2:
-            raise ValueError("And requires at least 2 children")
+            raise ValueError(f"{kind.__name__} requires at least 2 children")
         object.__setattr__(self, "children", tuple(flat))
 
 
 @dataclass(frozen=True, init=False)
-class Or:
+class And(_Connective):
     children: tuple["Formula", ...]
 
-    def __init__(self, *children: "Formula") -> None:
-        flat: list[Formula] = []
-        for child in children:
-            flat.extend(child.children if isinstance(child, Or) else (child,))
-        if len(flat) < 2:
-            raise ValueError("Or requires at least 2 children")
-        object.__setattr__(self, "children", tuple(flat))
+
+@dataclass(frozen=True, init=False)
+class Or(_Connective):
+    children: tuple["Formula", ...]
 
 
 Formula = Union[Const, Var, Not, And, Or]
@@ -102,10 +101,6 @@ def variables(formula: Formula) -> frozenset[int]:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def is_constant(formula: Formula) -> bool:
-    return isinstance(formula, Const)
-
-
 # Precedence levels for minimal parenthesization: Or < And < unary.
 _PREC_OR, _PREC_AND, _PREC_UNARY = 0, 1, 2
 
@@ -123,12 +118,10 @@ def _serialize(formula: Formula, context: int) -> str:
             return f"x{index}"
         case Not(child):
             return "!" + _serialize(child, _PREC_UNARY)
-        case And(children):
-            text = " & ".join(_serialize(c, _PREC_AND) for c in children)
-            return f"({text})" if context > _PREC_AND else text
-        case Or(children):
-            text = " | ".join(_serialize(c, _PREC_AND) for c in children)
-            return f"({text})" if context > _PREC_OR else text
+        case And(children) | Or(children):
+            joiner, own = (" & ", _PREC_AND) if isinstance(formula, And) else (" | ", _PREC_OR)
+            text = joiner.join(_serialize(c, _PREC_AND) for c in children)
+            return f"({text})" if context > own else text
     raise TypeError(f"not a formula: {formula!r}")
 
 
@@ -299,49 +292,35 @@ def simplify(formula: Formula) -> Formula:
             if isinstance(inner, Const):
                 return Const(not inner.value)
             return Not(inner)
-        case And(children):
+        case And(children) | Or(children):
+            absorbing = isinstance(formula, Or)  # False absorbs And, True absorbs Or
             kept: list[Formula] = []
             for child in children:
                 inner = simplify(child)
                 if isinstance(inner, Const):
-                    if not inner.value:
-                        return FALSE
+                    if inner.value == absorbing:
+                        return Const(absorbing)
                     continue
                 kept.append(inner)
             if not kept:
-                return TRUE
+                return Const(not absorbing)
             if len(kept) == 1:
                 return kept[0]
-            return And(*kept)
-        case Or(children):
-            kept = []
-            for child in children:
-                inner = simplify(child)
-                if isinstance(inner, Const):
-                    if inner.value:
-                        return TRUE
-                    continue
-                kept.append(inner)
-            if not kept:
-                return FALSE
-            if len(kept) == 1:
-                return kept[0]
-            return Or(*kept)
+            return type(formula)(*kept)
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def _replace(formula: Formula, index: int, replacement: Formula) -> Formula:
+def _map_vars(formula: Formula, mapping: Mapping[int, Formula]) -> Formula:
+    """Replace each variable that ``mapping`` covers by its image."""
     match formula:
         case Const():
             return formula
-        case Var(i):
-            return replacement if i == index else formula
+        case Var(index):
+            return mapping.get(index, formula)
         case Not(child):
-            return Not(_replace(child, index, replacement))
-        case And(children):
-            return And(*(_replace(c, index, replacement) for c in children))
-        case Or(children):
-            return Or(*(_replace(c, index, replacement) for c in children))
+            return Not(_map_vars(child, mapping))
+        case And(children) | Or(children):
+            return type(formula)(*(_map_vars(c, mapping) for c in children))
     raise TypeError(f"not a formula: {formula!r}")
 
 
@@ -353,7 +332,7 @@ def substitute(formula: Formula, index: int, value: bool) -> Formula:
     """
     if index not in variables(formula):
         raise UnknownVariable(f"variable x{index} does not occur in the formula")
-    return simplify(_replace(formula, index, Const(value)))
+    return simplify(_map_vars(formula, {index: Const(value)}))
 
 
 def self_reduce(formula: Formula) -> tuple[Formula, Formula, int]:
@@ -382,22 +361,7 @@ def rename_variables(formula: Formula, mapping: Mapping[int, int]) -> Formula:
     images = [mapping[i] for i in occurring]
     if len(set(images)) != len(images):
         raise ValueError("variable renaming must be injective")
-
-    def walk(node: Formula) -> Formula:
-        match node:
-            case Const():
-                return node
-            case Var(i):
-                return Var(mapping[i])
-            case Not(child):
-                return Not(walk(child))
-            case And(children):
-                return And(*(walk(c) for c in children))
-            case Or(children):
-                return Or(*(walk(c) for c in children))
-        raise TypeError(f"not a formula: {node!r}")
-
-    return walk(formula)
+    return _map_vars(formula, {i: Var(mapping[i]) for i in occurring})
 
 
 def evaluate(formula: Formula, assignment: Assignment) -> bool:
@@ -438,7 +402,7 @@ def brute_force_limit() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"{BRUTE_FORCE_LIMIT_ENV} must be an integer, got {raw!r}") from None
+        raise InvalidParams(f"{BRUTE_FORCE_LIMIT_ENV} must be an integer, got {raw!r}") from None
 
 
 def _variable_mask(position: int, total_bits: int) -> int:

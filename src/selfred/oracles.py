@@ -63,33 +63,41 @@ class PolynomialBound:
         return value
 
 
-class SelectorOracle:
+class _CountedOracle:
+    """Holds an oracle's query function and counts the queries made."""
+
+    def __init__(self, query: Callable) -> None:
+        self._query = query
+        self.call_counter = 0
+
+    def _ask(self, *args):
+        self.call_counter += 1
+        return self._query(*args)
+
+
+class SelectorOracle(_CountedOracle):
     """Always returns one of its two arguments; returns a satisfiable one
     whenever either argument is satisfiable."""
 
     def __init__(self, choose_fn: Callable[[Formula, Formula], Formula]) -> None:
-        self._choose = choose_fn
-        self.call_counter = 0
+        super().__init__(choose_fn)
 
     def choose(self, a: Formula, b: Formula) -> Formula:
-        self.call_counter += 1
-        return self._choose(a, b)
+        return self._ask(a, b)
 
 
-class TallyReductionOracle:
+class TallyReductionOracle(_CountedOracle):
     """Many-one reduction into a tally set: F is satisfiable iff the image is
     a member of the oracle's internal tally set."""
 
     def __init__(self, map_fn: Callable[[Formula], str]) -> None:
-        self._map = map_fn
-        self.call_counter = 0
+        super().__init__(map_fn)
 
     def map(self, formula: Formula) -> str:
-        self.call_counter += 1
-        return self._map(formula)
+        return self._ask(formula)
 
 
-class SparseCoReductionOracle:
+class SparseCoReductionOracle(_CountedOracle):
     """Many-one reduction of unsatisfiability into a sparse set, carrying the
     declared census bound q and image-length bound r."""
 
@@ -99,27 +107,23 @@ class SparseCoReductionOracle:
         q: PolynomialBound,
         r: PolynomialBound,
     ) -> None:
-        self._map = map_fn
+        super().__init__(map_fn)
         self.q = q
         self.r = r
-        self.call_counter = 0
 
     def map(self, formula: Formula) -> str:
-        self.call_counter += 1
-        return self._map(formula)
+        return self._ask(formula)
 
 
-class TwoEnumeratorOracle:
+class TwoEnumeratorOracle(_CountedOracle):
     """Outputs one or two candidate model counts; the true count is always in
     the list."""
 
     def __init__(self, enumerate_fn: Callable[[Formula], list[int]]) -> None:
-        self._enumerate = enumerate_fn
-        self.call_counter = 0
+        super().__init__(enumerate_fn)
 
     def enumerate(self, formula: Formula) -> list[int]:
-        self.call_counter += 1
-        return self._enumerate(formula)
+        return self._ask(formula)
 
 
 def _digest_int(*parts: object) -> int:

@@ -1,25 +1,26 @@
 """Breadth-first self-reducibility-tree deciders with per-level pruning.
 
-Both deciders walk the tree one level at a time, splitting every surviving
-node on its least variable and mapping each child through the reduction.
-The tally decider discards children with non-tally images and keeps one node
-per duplicate image; equal images mean the nodes stand or fall together, so
-a level's satisfiability is preserved and the frontier stays narrow.  The
-sparse decider has only duplicate pruning, but the moment a level holds more
-distinct labels than the sparse set can contain (1 + q(r(m))) some surviving
-node must map outside the set and hence be satisfiable: early_accept mode
-declares satisfiability on the spot, capped_continue keeps exactly that many
-nodes and descends anyway.
+Both deciders run one level walker, which splits every surviving node on its
+least variable, maps each child through the reduction, and prunes the level
+in a single pass; each decider supplies only its own pruning rule.  The tally
+decider discards children with non-tally images and keeps one node per
+duplicate image; equal images mean the nodes stand or fall together, so a
+level's satisfiability is preserved and the frontier stays narrow.  The
+sparse decider has only duplicate pruning plus a label budget: the moment a
+level holds more distinct labels than the sparse set can contain
+(1 + q(r(m))) some surviving node must map outside the set and hence be
+satisfiable: early_accept mode declares satisfiability on the spot,
+capped_continue keeps exactly that many nodes and descends anyway.
 
 Within a level, children are generated True branch before False branch with
 parents in level order, and dedup keeps the first occurrence, so traces are
 deterministic.  Constant nodes ride along unchanged until every node is
 constant; the verdict is whether any surviving leaf evaluates to True.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import EncodingInvariantBroken, InvalidBound
 from .formula import (
@@ -77,20 +78,10 @@ class LevelStats:
     threshold: int | None = None  # sparse: q(r(m))
     crossed_at: int | None = None  # sparse: first level reaching 1 + threshold
     capped_levels: list[int] = field(default_factory=list)
-    empty_frontier: bool = False
 
     @property
     def max_width(self) -> int:
         return max((pre for pre, _ in self.widths), default=0)
-
-
-def _constant_stats(value: bool) -> LevelStats:
-    return LevelStats(
-        widths=[],
-        oracle_calls=0,
-        outcome=OUTCOME_SAT if value else OUTCOME_UNSAT,
-        levels=[],
-    )
 
 
 def _split_frontier(
@@ -115,57 +106,81 @@ def _split_frontier(
     return children
 
 
+def _prune(
+    children: list[tuple[Formula, str]],
+    admit: Callable[[str], bool] | None,
+) -> tuple[list[tuple[Formula, str]], list[PruneEvent]]:
+    """Drop children whose image ``admit`` rejects, then later duplicates of a
+    kept image, in one pass so events stay in child order."""
+    kept: list[tuple[Formula, str]] = []
+    seen: set[str] = set()
+    events: list[PruneEvent] = []
+    for child, image in children:
+        if admit is not None and not admit(image):
+            events.append(PruneEvent(NON_TALLY, serialize(child)))
+        elif image in seen:
+            events.append(PruneEvent(DUPLICATE_IMAGE, serialize(child), image))
+        else:
+            seen.add(image)
+            kept.append((child, image))
+    return kept, events
+
+
+def _walk_levels(
+    formula: Formula,
+    oracle: TallyReductionOracle | SparseCoReductionOracle,
+    admit: Callable[[str], bool] | None = None,
+    label_budget: Callable[[int], int] | None = None,
+    early_accept: bool = False,
+) -> tuple[bool, LevelStats]:
+    """The level walk both deciders share.
+
+    ``admit`` is the tally rule: images it rejects are pruned before dedup.
+    ``label_budget`` maps |F| to the sparse census bound q(r(|F|)); a level
+    keeping more distinct labels than that crosses it, which either accepts
+    (``early_accept``) or caps the level at budget + 1 nodes.
+    """
+    root = simplify(formula)
+    if isinstance(root, Const):
+        return root.value, LevelStats([], 0, OUTCOME_SAT if root.value else OUTCOME_UNSAT, [])
+
+    calls_before = oracle.call_counter
+    root_length = serialized_length(formula)
+    budget = None if label_budget is None else label_budget(root_length)
+    levels: list[TreeLevel] = []
+    widths: list[tuple[int, int]] = []
+    capped_levels: list[int] = []
+    crossed_at: int | None = None
+    children = [(root, oracle.map(root))]
+    depth = 0
+    while True:
+        frontier, events = _prune(children, admit)
+        widths.append((len(children), len(frontier)))
+        levels.append(TreeLevel(depth, frontier, events))
+        if budget is not None and len(frontier) > budget:
+            if crossed_at is None:
+                crossed_at = depth
+            if early_accept:
+                verdict, outcome = True, OUTCOME_EARLY_SAT
+                break
+            frontier = levels[-1].nodes = frontier[: budget + 1]
+            capped_levels.append(depth)
+        if all(isinstance(node, Const) for node, _ in frontier):  # also when all were pruned
+            verdict = any(evaluate(node, {}) for node, _ in frontier)
+            outcome = OUTCOME_SAT if verdict else OUTCOME_UNSAT
+            break
+        depth += 1
+        children = _split_frontier(frontier, oracle.map, root_length)
+
+    calls = oracle.call_counter - calls_before
+    return verdict, LevelStats(widths, calls, outcome, levels, budget, crossed_at, capped_levels)
+
+
 def decide_via_tally(
     formula: Formula, oracle: TallyReductionOracle
 ) -> tuple[bool, LevelStats]:
     """Decide satisfiability given a reduction of SAT to a tally set."""
-    root = simplify(formula)
-    if isinstance(root, Const):
-        return root.value, _constant_stats(root.value)
-
-    calls = 0
-
-    def mapped(node: Formula) -> str:
-        nonlocal calls
-        calls += 1
-        return oracle.map(node)
-
-    root_length = serialized_length(formula)
-    root_image = mapped(root)
-    levels: list[TreeLevel] = []
-    widths: list[tuple[int, int]] = []
-    if not is_tally_string(root_image):
-        levels.append(TreeLevel(0, [], [PruneEvent(NON_TALLY, serialize(root))]))
-        widths.append((1, 0))
-        return False, LevelStats(widths, calls, OUTCOME_UNSAT, levels)
-
-    frontier = [(root, root_image)]
-    levels.append(TreeLevel(0, list(frontier), []))
-    widths.append((1, 1))
-    depth = 0
-    while any(not isinstance(node, Const) for node, _ in frontier):
-        depth += 1
-        children = _split_frontier(frontier, mapped, root_length)
-        kept: list[tuple[Formula, str]] = []
-        seen: set[str] = set()
-        events: list[PruneEvent] = []
-        for child, image in children:
-            if not is_tally_string(image):
-                events.append(PruneEvent(NON_TALLY, serialize(child)))
-            elif image in seen:
-                events.append(PruneEvent(DUPLICATE_IMAGE, serialize(child), image))
-            else:
-                seen.add(image)
-                kept.append((child, image))
-        widths.append((len(children), len(kept)))
-        levels.append(TreeLevel(depth, list(kept), events))
-        frontier = kept
-        if not frontier:
-            return False, LevelStats(widths, calls, OUTCOME_UNSAT, levels)
-
-    verdict = any(evaluate(node, {}) for node, _ in frontier)
-    outcome = OUTCOME_SAT if verdict else OUTCOME_UNSAT
-    return verdict, LevelStats(widths, calls, outcome, levels)
+    return _walk_levels(formula, oracle, admit=is_tally_string)
 
 
 def decide_via_sparse(
@@ -179,69 +194,9 @@ def decide_via_sparse(
     for bound in (oracle.q, oracle.r):
         if any(c < 0 for c in bound.coefficients):
             raise InvalidBound(f"negative coefficient in {bound.coefficients}")
-
-    root = simplify(formula)
-    if isinstance(root, Const):
-        return root.value, _constant_stats(root.value)
-
-    calls = 0
-
-    def mapped(node: Formula) -> str:
-        nonlocal calls
-        calls += 1
-        return oracle.map(node)
-
-    root_length = serialized_length(formula)
-    label_budget = oracle.q(oracle.r(root_length))  # distinct labels S can absorb
-    levels: list[TreeLevel] = []
-    widths: list[tuple[int, int]] = []
-    capped_levels: list[int] = []
-    crossed_at: int | None = None
-
-    def stats(outcome: str, empty: bool = False) -> LevelStats:
-        return LevelStats(
-            widths,
-            calls,
-            outcome,
-            levels,
-            threshold=label_budget,
-            crossed_at=crossed_at,
-            capped_levels=capped_levels,
-            empty_frontier=empty,
-        )
-
-    frontier = [(root, mapped(root))]
-    depth = 0
-    widths.append((1, 1))
-    levels.append(TreeLevel(0, list(frontier), []))
-    while True:
-        if len(frontier) >= label_budget + 1:
-            if crossed_at is None:
-                crossed_at = depth
-            if mode == "early_accept":
-                return True, stats(OUTCOME_EARLY_SAT)
-            frontier = frontier[: label_budget + 1]
-            levels[-1].nodes = list(frontier)
-            capped_levels.append(depth)
-        if not frontier:
-            return False, stats(OUTCOME_UNSAT, empty=True)
-        if all(isinstance(node, Const) for node, _ in frontier):
-            break
-        depth += 1
-        children = _split_frontier(frontier, mapped, root_length)
-        kept: list[tuple[Formula, str]] = []
-        seen: set[str] = set()
-        events: list[PruneEvent] = []
-        for child, image in children:
-            if image in seen:
-                events.append(PruneEvent(DUPLICATE_IMAGE, serialize(child), image))
-            else:
-                seen.add(image)
-                kept.append((child, image))
-        widths.append((len(children), len(kept)))
-        levels.append(TreeLevel(depth, list(kept), events))
-        frontier = kept
-
-    verdict = any(evaluate(node, {}) for node, _ in frontier)
-    outcome = OUTCOME_SAT if verdict else OUTCOME_UNSAT
-    return verdict, stats(outcome)
+    return _walk_levels(
+        formula,
+        oracle,
+        label_budget=lambda length: oracle.q(oracle.r(length)),  # distinct labels S can absorb
+        early_accept=mode == "early_accept",
+    )

@@ -59,6 +59,24 @@ class TestRun:
                 )
             )
 
+    def test_unknown_algorithm(self):
+        with pytest.raises(InvalidParams, match="unknown algorithm"):
+            run(ExperimentConfig(algorithm="walk", formulas=[parse("x1")], oracle_style="honest"))
+
+    def test_unknown_mode_rejected_before_work(self, tmp_path):
+        trace = tmp_path / "t.jsonl"
+        with pytest.raises(InvalidParams, match="mode"):
+            run(
+                ExperimentConfig(
+                    algorithm="sparse",
+                    formulas=[parse("x1 | x2")],
+                    oracle_style="singleton",
+                    mode="eager",
+                    trace_path=str(trace),
+                )
+            )
+        assert not trace.exists()
+
 
 class TestCommandLine:
     def test_decide_selector_inline(self, capsys):
@@ -189,3 +207,13 @@ class TestCommandLine:
         ) == 0
         out = capsys.readouterr().out
         assert "reference" not in out
+
+    def test_bad_brute_limit_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setenv("SELFRED_BRUTE_LIMIT", "abc")
+        assert main(["decide", "tally", "--inline", "x1"]) == 2
+        assert "error: SELFRED_BRUTE_LIMIT" in capsys.readouterr().err
+
+    def test_non_integer_random_value_exit_code(self, capsys):
+        assert main(["decide", "tally", "--random", "vars=x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "vars" in err
