@@ -274,10 +274,15 @@ def _load_formulas(args: argparse.Namespace) -> list[Formula]:
             raise InvalidParams(f"--random {key} must be an integer, got {value!r}") from None
     if "vars" not in params:
         raise InvalidParams("--random requires vars=<n>")
-    var_count = params["vars"]
-    count = params.get("count", 1)
-    seed = params.get("seed", 0)
-    budget = params.get("budget", 2 * var_count + 2)
+    return _random_batch(
+        params["vars"], params.get("count", 1), params.get("seed", 0), params.get("budget")
+    )
+
+
+def _random_batch(var_count: int, count: int, seed: int, budget: int | None) -> list[Formula]:
+    if count < 1:
+        raise InvalidParams(f"count must be at least 1, got {count}")
+    budget = 2 * var_count + 2 if budget is None else budget
     return [generate_random(var_count, budget, seed + i) for i in range(count)]
 
 
@@ -377,12 +382,8 @@ def _demo_naive_failure() -> int:
 
 
 def _run_gen(args: argparse.Namespace) -> int:
-    budget = args.budget if args.budget is not None else 2 * args.vars + 2
-    lines = [
-        serialize(generate_random(args.vars, budget, args.seed + i))
-        for i in range(args.count)
-    ]
-    text = "\n".join(lines) + "\n"
+    formulas = _random_batch(args.vars, args.count, args.seed, args.budget)
+    text = "\n".join(serialize(formula) for formula in formulas) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:

@@ -28,7 +28,7 @@ class IncompleteAssignment(SelfReducibilityError):
 
 
 class TooLarge(SelfReducibilityError):
-    """The formula exceeds the exhaustive-enumeration limit."""
+    """The formula exceeds the exhaustive-enumeration limit or the counting budget."""
 
 
 class MalformedInput(SelfReducibilityError):

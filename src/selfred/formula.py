@@ -231,6 +231,8 @@ def parse_dimacs(text: str) -> Formula:
             parts = stripped.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise FormulaSyntaxError(f"bad problem line on line {line_no}", 0)
+            if not (parts[2].isdecimal() and parts[3].isdecimal()):
+                raise FormulaSyntaxError(f"negative or non-integer count on line {line_no}", 0)
             var_count, clause_count = int(parts[2]), int(parts[3])
             continue
         if var_count is None:

@@ -1,12 +1,12 @@
 """Simulated oracles for the four decider capabilities.
 
 Each constructor returns an oracle whose input/output behavior satisfies the
-declared contract (checked against brute force by the test suite), built over
-exhaustive counting at desk scale.  Oracles are deterministic: the same input
-always produces the same output, which the deciders' duplicate-image pruning
-relies on.  The only mutable state is the per-instance call counter and the
-style-internal image/count memos, so instances should be confined to one
-thread (results never depend on interleaving, the counter is not atomic).
+declared contract (checked against brute force by the test suite); all of
+them answer through one memoized ``exact_model_count``, and satisfiable means
+a positive count.  Oracles are deterministic, which the deciders'
+duplicate-image pruning relies on.  The only mutable state is the call
+counter and the style-internal image/count memos, so confine instances to one
+thread (results never depend on interleaving; the counter is not atomic).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import InvalidBound, TooLarge
+from .errors import InvalidBound, OracleContractViolation, TooLarge
 from .formula import (
     And,
     Const,
@@ -24,9 +24,7 @@ from .formula import (
     Or,
     Var,
     brute_force_count,
-    brute_force_sat,
     serialize,
-    simplify,
     substitute,
     variables,
 )
@@ -123,7 +121,12 @@ class TwoEnumeratorOracle(_CountedOracle):
         super().__init__(enumerate_fn)
 
     def enumerate(self, formula: Formula) -> list[int]:
-        return self._ask(formula)
+        values = self._ask(formula)
+        if len(values) > 2:
+            raise OracleContractViolation(
+                f"2-enumerator listed {len(values)} candidate counts {values}; at most two allowed"
+            )
+        return values
 
 
 def _digest_int(*parts: object) -> int:
@@ -131,28 +134,28 @@ def _digest_int(*parts: object) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
-def _memoized_sat() -> Callable[[Formula], bool]:
-    cache: dict[str, bool] = {}
+def _memoized_count() -> Callable[[Formula], int]:
+    cache: dict[str, int] = {}
 
-    def sat(formula: Formula) -> bool:
+    def count(formula: Formula) -> int:
         key = serialize(formula)
         if key not in cache:
-            cache[key] = brute_force_sat(formula)
+            cache[key] = exact_model_count(formula)
         return cache[key]
 
-    return sat
+    return count
 
 
 def honest_selector() -> SelectorOracle:
     """Selector that prefers its first argument, satisfiable ones first."""
-    sat = _memoized_sat()
+    count = _memoized_count()
 
     def choose(a: Formula, b: Formula) -> Formula:
         if serialize(a) == serialize(b):
             return a
-        if sat(a):
+        if count(a) > 0:
             return a
-        if sat(b):
+        if count(b) > 0:
             return b
         return a
 
@@ -162,13 +165,13 @@ def honest_selector() -> SelectorOracle:
 def adversarial_selector(seed: int) -> SelectorOracle:
     """Contract-respecting but unhelpful: whenever the contract allows either
     argument, the pick is pseudo-random from the seed."""
-    sat = _memoized_sat()
+    count = _memoized_count()
 
     def choose(a: Formula, b: Formula) -> Formula:
         key_a, key_b = serialize(a), serialize(b)
         if key_a == key_b:
             return a
-        sat_a, sat_b = sat(a), sat(b)
+        sat_a, sat_b = count(a) > 0, count(b) > 0
         if sat_a != sat_b:
             return a if sat_a else b
         return a if _digest_int(seed, key_a, key_b) % 2 == 0 else b
@@ -184,16 +187,16 @@ def simulated_tally_reduction(style: str) -> TallyReductionOracle:
     unsatisfiable formulas map to the non-tally token.  spread: T = the
     even-length zero strings; images are bucketed by encoded length mod 8.
     """
-    sat = _memoized_sat()
+    count = _memoized_count()
     if style == "canonical":
-        map_fn = lambda f: "00" if sat(f) else "0"
+        map_fn = lambda f: "00" if count(f) > 0 else "0"
     elif style == "collision_rich":
-        map_fn = lambda f: "0" if sat(f) else NON_TALLY_TOKEN
+        map_fn = lambda f: "0" if count(f) > 0 else NON_TALLY_TOKEN
     elif style == "spread":
 
         def map_fn(f: Formula) -> str:
             bucket = len(serialize(f)) % 8
-            return "0" * (2 * bucket if sat(f) else 2 * bucket + 1)
+            return "0" * (2 * bucket if count(f) > 0 else 2 * bucket + 1)
 
     else:
         raise ValueError(f"unknown tally style {style!r}; expected one of {TALLY_STYLES}")
@@ -210,7 +213,7 @@ def simulated_sparse_coreduction(style: str, seed: int = 0) -> SparseCoReduction
     distinct images outside S, so frontiers of diverse satisfiable nodes are
     never collapsed by deduplication.
     """
-    sat = _memoized_sat()
+    count = _memoized_count()
     # Arrival numbering keeps images functional within an oracle's lifetime;
     # lengths stay under r as long as fewer than 2^16 satisfiable formulas
     # are seen, far beyond desk scale.
@@ -227,7 +230,7 @@ def simulated_sparse_coreduction(style: str, seed: int = 0) -> SparseCoReduction
 
         def map_fn(f: Formula) -> str:
             key = serialize(f)
-            return fresh_image(key) if sat(f) else "1"
+            return fresh_image(key) if count(f) > 0 else "1"
 
     elif style == "scatter":
         q = PolynomialBound((2, 2))
@@ -235,7 +238,7 @@ def simulated_sparse_coreduction(style: str, seed: int = 0) -> SparseCoReduction
 
         def map_fn(f: Formula) -> str:
             key = serialize(f)
-            if sat(f):
+            if count(f) > 0:
                 return fresh_image(key)
             return "1" * (1 + _digest_int(seed, key) % 16)
 
@@ -256,30 +259,20 @@ def honest_two_enumerator(style: str, seed: int = 0) -> TwoEnumeratorOracle:
         raise ValueError(
             f"unknown enumerator style {style!r}; expected one of {ENUMERATOR_STYLES}"
         )
-    counts: dict[str, int] = {}
-
-    def true_count(f: Formula) -> int:
-        key = serialize(f)
-        if key not in counts:
-            counts[key] = exact_model_count(f)
-        return counts[key]
-
-    def with_offset(f: Formula, c: int) -> list[int]:
-        roll = _digest_int(seed, serialize(f), "offset") % 3
-        delta = (-1, 1, c + 1)[roll]
-        return sorted({c, max(0, c + delta)})
+    count = _memoized_count()
 
     def enumerate_fn(f: Formula) -> list[int]:
-        c = true_count(f)
+        c = count(f)
         if style == "woeginger" and c in (0, 1):
             return [0, 1]
-        return with_offset(f, c)
+        delta = (-1, 1, c + 1)[_digest_int(seed, serialize(f), "offset") % 3]
+        return sorted({c, max(0, c + delta)})
 
     return TwoEnumeratorOracle(enumerate_fn)
 
 
-# The enumerator is exercised on combined formulas whose variable count is
-# roughly triple the input's, so it cannot lean on the naive brute force.
+# Every oracle counts here, on tree nodes and on combined formulas of about
+# triple the input's variables, so it cannot lean on the naive brute force.
 # This counter is exact and structure-aware: conjunctions split into
 # variable-disjoint components, everything else Shannon-splits on the most
 # frequent variable, and small residues fall through to the truth table.
@@ -290,11 +283,12 @@ _DEFAULT_COUNT_BUDGET = 50_000
 def exact_model_count(formula: Formula, budget: int = _DEFAULT_COUNT_BUDGET) -> int:
     """Exact model count over vars(formula); raises TooLarge if the formula
     resists decomposition within the work budget."""
-    remaining = [budget]
-    memo: dict[str, int] = {}
-    simplified = simplify(formula)
-    lift = len(variables(formula)) - len(variables(simplified))
-    return _component_count(simplified, memo, remaining) << lift
+    # brute_force_count's own size check picks out small formulas.
+    try:
+        return brute_force_count(formula, limit=_BIT_PARALLEL_LIMIT)
+    except TooLarge:
+        pass
+    return _component_count(formula, {}, [budget])
 
 
 def _component_count(formula: Formula, memo: dict[str, int], remaining: list[int]) -> int:

@@ -4,7 +4,8 @@ import pytest
 
 from selfred.cli import ExperimentConfig, main, run
 from selfred.errors import InvalidParams
-from selfred.formula import parse
+from selfred.formula import And, Not, Or, parse
+from selfred.generate import generate_random
 
 
 def read(path):
@@ -58,6 +59,23 @@ class TestRun:
                     oracle_style="honest",
                 )
             )
+
+    def test_deciders_above_verification_limit(self):
+        # 26 variables is past the 24-variable verification limit, so only
+        # the oracles' exact counter answers; F | !F and F & !F fix the verdict.
+        big = generate_random(26, 54, seed=7)
+        formulas = [Or(big, Not(big)), And(big, Not(big))]
+        for algorithm, style in (
+            ("selector", "honest"),
+            ("tally", "collision_rich"),
+            ("sparse", "singleton"),
+        ):
+            records = run(
+                ExperimentConfig(
+                    algorithm=algorithm, formulas=formulas, oracle_style=style, verify=False
+                )
+            )
+            assert [r.result for r in records] == [True, False]
 
     def test_unknown_algorithm(self):
         with pytest.raises(InvalidParams, match="unknown algorithm"):
@@ -217,3 +235,16 @@ class TestCommandLine:
         assert main(["decide", "tally", "--random", "vars=x"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "vars" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decide", "tally", "--random", "vars=3", "count=-2"],
+            ["gen", "--vars", "3", "--count", "-1"],
+        ],
+    )
+    def test_count_below_one_exit_code(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "count" in captured.err

@@ -245,6 +245,18 @@ class TestCountViaEnumerator:
         assert len(chain[0].mapping) == 2
         assert chain[0].triples is not None
 
+    def test_more_than_two_values(self):
+        from selfred.oracles import exact_model_count
+
+        formula = parse("(x1 | x2) & (!x1 | x3)")
+        target = serialize(combine3(formula, parse("x3"), parse("x2")).outer.combined)
+
+        def enumerate_fn(f):
+            return [133, 136, 198] if serialize(f) == target else [exact_model_count(f)]
+
+        with pytest.raises(OracleContractViolation, match="listed 3 candidate counts"):
+            count_via_enumerator(formula, TwoEnumeratorOracle(enumerate_fn))
+
     def test_no_consistent_guess(self):
         # 1 decodes to a triple claiming 0 = 0 + (something positive).
         lying = TwoEnumeratorOracle(lambda f: [1])

@@ -309,6 +309,8 @@ class TestDimacs:
             "p cnf 1 1\n1\n",
             "p cnf 1 2\n1 0\n",
             "p nfc 1 1\n1 0\n",
+            "p cnf a b\n",
+            "p cnf -1 0\n",
         ],
     )
     def test_malformed(self, text):

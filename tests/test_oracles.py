@@ -2,7 +2,9 @@ import pytest
 
 from selfred.errors import InvalidBound, TooLarge
 from selfred.formula import (
+    And,
     Const,
+    Or,
     Var,
     brute_force_count,
     brute_force_sat,
@@ -230,6 +232,23 @@ class TestExactModelCount:
         # Simplification drops x1 and x2 here; the count is still over vars(F).
         formula = parse("(x1 & x2) | T")
         assert exact_model_count(formula) == brute_force_count(formula) == 4
+
+    def test_matches_brute_force_above_cutoff(self):
+        # Above 18 variables the counter splits instead of tabulating.  The
+        # wrappers add constants whose simplification drops all of big, none
+        # of it, or only x25; the count stays over vars(F) either way.
+        from selfred.generate import generate_random
+
+        for n in range(19, 23):
+            for seed in (n, n + 100):
+                big = generate_random(n, 2 * n + 2, seed)
+                for formula in (
+                    big,
+                    Or(big, Const(True)),
+                    And(big, Const(True), Var(25)),
+                    And(big, Or(Var(25), Const(True))),
+                ):
+                    assert exact_model_count(formula) == brute_force_count(formula)
 
     def test_budget_exhaustion(self):
         from selfred.generate import generate_random

@@ -2,10 +2,11 @@
 
 Each digest was recorded from the code as it stood before the tally and
 sparse deciders were folded onto one level walker and the CLI onto one
-algorithm table; a refactor that keeps behaviour keeps every byte.  The
-constant-1 sparse bounds give a label budget of one, so the sparse decider
-crosses its census threshold and caps levels, which no CLI oracle style does
-on inputs this small.
+algorithm table; the ``WIDE`` rows were recorded while the decision oracles
+still answered from one truth table per formula.  A refactor that keeps
+behaviour keeps every byte.  The constant-1 sparse bounds give a label
+budget of one, so the sparse decider crosses its census threshold and caps
+levels, which no CLI oracle style does on inputs this small.
 """
 
 import hashlib
@@ -25,6 +26,9 @@ from selfred.oracles import (
 from selfred.pruning import SPARSE_MODES, decide_via_sparse, decide_via_tally
 
 RANDOM = ["--random", "vars=6", "count=12", "seed=5"]
+# Past the counter's 18-variable truth-table cutoff, so the oracles answer
+# through component splitting rather than one table.
+WIDE = ["--random", "vars=20", "count=3", "seed=5"]
 
 CLI_DIGESTS = [
     (
@@ -51,6 +55,21 @@ CLI_DIGESTS = [
         ["count", "enum", "--random", "vars=5", "count=8", "seed=5", "--oracle", "woeginger"],
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "707746bd1be6372f0d0707416113c8f444c433376e50aefeb5821bd4a575abfb",
+    ),
+    (
+        ["decide", "selector", *WIDE, "--oracle", "honest"],
+        "5036862d6b12595959f03a729924a02ae111c7d8510ead56e01b38daff933ebe",
+        "08d60f0adc02afd85586d1ea31c705a4561a4e2bf98abc114a53ab196fb9950a",
+    ),
+    (
+        ["decide", "tally", *WIDE, "--oracle", "collision_rich"],
+        "0112494fb4ba6c1984a561fdcb7b95ea31ffcc1f0aca967d933235e1bce99ffb",
+        "7339f5a07d5a8d3d9a4d25fb361a933180b0e0dead61d4bf5b025bda3bc86b0d",
+    ),
+    (
+        ["decide", "sparse", *WIDE, "--oracle", "singleton"],
+        "18d3a4cd40be3f4a885f49000d36eeacf62c6f3cb6ff8cb4813763d01cfaa57f",
+        "816b33935987eee48d395539c9934c44b6675dc6d7de3610246fc665e9b39106",
     ),
 ]
 
