@@ -7,18 +7,21 @@ Formulas are immutable trees built from five node kinds: ``Const``, ``Var``,
     unary   := "!" unary | atom ;
     atom    := "T" | "F" | VAR | "(" formula ")" ;  VAR := "x" [1-9][0-9]*
 
-and is whitespace-insensitive.  Canonical serialization uses the same grammar
-with minimal parentheses and single spaces around binary operators; chains of
-the same connective are flattened, so the encoded length of a formula is
-stable under simplification.
+and is whitespace-insensitive (at most ``MAX_NESTING`` "!"/"(" levels deep).
+Canonical serialization uses the same grammar with minimal parentheses and
+single spaces around binary operators; chains of the same connective are
+flattened, so the encoded length of a formula is stable under simplification.
 
-Everything here is a pure function of its inputs; values are safe to share
-across threads.
+Functions here are pure; each node caches its variable mask, canonical text
+and simplified mark, filled lazily and idempotently, so formulas stay safe to
+share across threads.
 """
 
 from __future__ import annotations
 
+import operator
 import os
+import re
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Mapping, Union
@@ -34,15 +37,29 @@ from .errors import (
 
 DEFAULT_BRUTE_FORCE_LIMIT = 24
 BRUTE_FORCE_LIMIT_ENV = "SELFRED_BRUTE_LIMIT"
+# Most "!" and "(" levels parse() accepts around any point of a formula; the
+# parser and the tree walkers recurse once or more per level.
+MAX_NESTING = 200
+# Widest variable mask a node keeps (it costs a bit per index up to the top).
+_CACHED_MASK_BITS = 1024
+# Longest variable index that formula text and DIMACS input may spell out.
+MAX_INDEX_DIGITS = 6
 
 
-@dataclass(frozen=True)
-class Const:
+class _Node:
+    """Caches filled on first use: variable bitmask, unparenthesised text, and
+    a mark on simplified nodes.  Not fields, so repr, == and hash skip them."""
+
+    __slots__ = ("_mask", "_text", "_simple")
+
+
+@dataclass(frozen=True, slots=True)
+class Const(_Node):
     value: bool
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, slots=True)
+class Var(_Node):
     index: int
 
     def __post_init__(self) -> None:
@@ -50,14 +67,16 @@ class Var:
             raise ValueError(f"variable index must be positive, got {self.index}")
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, slots=True)
+class Not(_Node):
     child: "Formula"
 
 
-class _Connective:
+class _Connective(_Node):
     """Shared constructor of the n-ary connectives: children of the same
     connective are flattened in place, and at least two must remain."""
+
+    __slots__ = ()
 
     def __init__(self, *children: "Formula") -> None:
         kind = type(self)
@@ -69,12 +88,12 @@ class _Connective:
         object.__setattr__(self, "children", tuple(flat))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class And(_Connective):
     children: tuple["Formula", ...]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class Or(_Connective):
     children: tuple["Formula", ...]
 
@@ -87,42 +106,59 @@ FALSE = Const(False)
 Assignment = Mapping[int, bool]
 
 
-def variables(formula: Formula) -> frozenset[int]:
-    """Set of variable indices occurring in the formula."""
+def variable_mask(formula: Formula) -> int:
+    """Occurring variables as a bitmask: bit i is set iff x_i occurs."""
+    try:
+        return formula._mask
+    except AttributeError:
+        pass
     match formula:
         case Const():
-            return frozenset()
+            mask = 0
         case Var(index):
-            return frozenset((index,))
+            mask = 1 << index
         case Not(child):
-            return variables(child)
+            mask = variable_mask(child)
         case And(children) | Or(children):
-            return frozenset().union(*(variables(c) for c in children))
-    raise TypeError(f"not a formula: {formula!r}")
+            mask = 0
+            for child in children:
+                mask |= variable_mask(child)
+        case _:
+            raise TypeError(f"not a formula: {formula!r}")
+    if mask.bit_length() <= _CACHED_MASK_BITS:
+        object.__setattr__(formula, "_mask", mask)
+    return mask
 
 
-# Precedence levels for minimal parenthesization: Or < And < unary.
-_PREC_OR, _PREC_AND, _PREC_UNARY = 0, 1, 2
+def variables(formula: Formula) -> frozenset[int]:
+    """Set of variable indices occurring in the formula."""
+    bits = bin(variable_mask(formula))[:1:-1]  # character i is bit i
+    return frozenset([index for index, bit in enumerate(bits) if bit == "1"])
 
 
 def serialize(formula: Formula) -> str:
-    """Canonical text form of the formula."""
-    return _serialize(formula, _PREC_OR)
-
-
-def _serialize(formula: Formula, context: int) -> str:
+    """Canonical text form of the formula.  Parentheses go only where the
+    grammar needs them: around an ``Or`` under a connective or under ``!``,
+    and around an ``And`` under ``!``."""
+    try:
+        return formula._text
+    except AttributeError:
+        pass
     match formula:
         case Const(value):
-            return "T" if value else "F"
+            text = "T" if value else "F"
         case Var(index):
-            return f"x{index}"
+            text = f"x{index}"
         case Not(child):
-            return "!" + _serialize(child, _PREC_UNARY)
+            inner = serialize(child)
+            text = f"!({inner})" if isinstance(child, (And, Or)) else "!" + inner
         case And(children) | Or(children):
-            joiner, own = (" & ", _PREC_AND) if isinstance(formula, And) else (" | ", _PREC_OR)
-            text = joiner.join(_serialize(c, _PREC_AND) for c in children)
-            return f"({text})" if context > own else text
-    raise TypeError(f"not a formula: {formula!r}")
+            parts = [f"({serialize(c)})" if isinstance(c, Or) else serialize(c) for c in children]
+            text = (" & " if isinstance(formula, And) else " | ").join(parts)
+        case _:
+            raise TypeError(f"not a formula: {formula!r}")
+    object.__setattr__(formula, "_text", text)
+    return text
 
 
 def serialized_length(formula: Formula) -> int:
@@ -134,6 +170,7 @@ class _Parser:
     def __init__(self, text: str) -> None:
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> FormulaSyntaxError:
         offset = len(self.text[: self.pos].encode())
@@ -168,10 +205,17 @@ class _Parser:
 
     def parse_unary(self) -> Formula:
         self.skip_ws()
+        nests = self.peek() in ("!", "(")
+        self.depth += nests
+        if self.depth > MAX_NESTING:
+            raise self.error(f"more than {MAX_NESTING} nested '!' and '(' levels")
         if self.peek() == "!":
             self.pos += 1
-            return Not(self.parse_unary())
-        return self.parse_atom()
+            node = Not(self.parse_unary())
+        else:
+            node = self.parse_atom()
+        self.depth -= nests
+        return node
 
     def parse_atom(self) -> Formula:
         self.skip_ws()
@@ -187,7 +231,9 @@ class _Parser:
             start = self.pos
             if not ("1" <= self.peek() <= "9"):
                 raise self.error("expected variable index starting with 1-9 after 'x'")
-            while self.peek().isdigit():
+            while "0" <= self.peek() <= "9":
+                if self.pos - start == MAX_INDEX_DIGITS:
+                    raise self.error(f"variable index longer than {MAX_INDEX_DIGITS} digits")
                 self.pos += 1
             return Var(int(self.text[start : self.pos]))
         if ch == "(":
@@ -220,45 +266,51 @@ def parse_dimacs(text: str) -> Formula:
     an empty clause becomes Const(False)); zero clauses yield Const(True).
     """
     var_count = clause_count = None
-    literal_tokens: list[int] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    literal_tokens: list[tuple[int, int]] = []  # (literal, byte offset)
+    end = problem_at = 0
+    for line_no, line in enumerate(text.splitlines(keepends=True), start=1):
+        at, end = end, end + len(line.encode())  # byte offsets of this line
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
             continue
         if stripped.startswith("p"):
             if var_count is not None:
-                raise FormulaSyntaxError("duplicate problem line", 0)
+                raise FormulaSyntaxError("duplicate problem line", at)
             parts = stripped.split()
             if len(parts) != 4 or parts[1] != "cnf":
-                raise FormulaSyntaxError(f"bad problem line on line {line_no}", 0)
+                raise FormulaSyntaxError(f"bad problem line on line {line_no}", at)
             if not (parts[2].isdecimal() and parts[3].isdecimal()):
-                raise FormulaSyntaxError(f"negative or non-integer count on line {line_no}", 0)
-            var_count, clause_count = int(parts[2]), int(parts[3])
+                raise FormulaSyntaxError(f"negative or non-integer count on line {line_no}", at)
+            if len(parts[2]) > MAX_INDEX_DIGITS:
+                raise FormulaSyntaxError(f"variable count above {MAX_INDEX_DIGITS} digits", at)
+            var_count, clause_count, problem_at = int(parts[2]), int(parts[3]), at
             continue
         if var_count is None:
-            raise FormulaSyntaxError(f"clause before problem line on line {line_no}", 0)
-        try:
-            literal_tokens.extend(int(tok) for tok in stripped.split())
-        except ValueError:
-            raise FormulaSyntaxError(f"bad literal on line {line_no}", 0) from None
+            raise FormulaSyntaxError(f"clause before problem line on line {line_no}", at)
+        for token in re.finditer(r"\S+", line):
+            token_at = at + len(line[: token.start()].encode())
+            try:
+                literal_tokens.append((int(token.group()), token_at))
+            except ValueError:
+                raise FormulaSyntaxError(f"bad literal on line {line_no}", token_at) from None
     if var_count is None:
-        raise FormulaSyntaxError("missing 'p cnf' problem line", 0)
+        raise FormulaSyntaxError("missing 'p cnf' problem line", end)
 
     clauses: list[list[int]] = []
     current: list[int] = []
-    for literal in literal_tokens:
+    for literal, token_at in literal_tokens:
         if literal == 0:
             clauses.append(current)
             current = []
             continue
         if abs(literal) > var_count:
-            raise FormulaSyntaxError(f"literal {literal} exceeds declared variable count", 0)
+            raise FormulaSyntaxError(f"literal {literal} exceeds declared variable count", token_at)
         current.append(literal)
     if current:
-        raise FormulaSyntaxError("final clause not terminated by 0", 0)
+        raise FormulaSyntaxError("final clause not terminated by 0", end)
     if len(clauses) != clause_count:
         raise FormulaSyntaxError(
-            f"declared {clause_count} clauses but found {len(clauses)}", 0
+            f"declared {clause_count} clauses but found {len(clauses)}", problem_at
         )
 
     def literal_node(literal: int) -> Formula:
@@ -284,32 +336,48 @@ def simplify(formula: Formula) -> Formula:
 
     Rules: True & y = y, False & y = False, True | y = True, False | y = y,
     !True = False, !False = True.  No other rewriting; after simplification
-    no Const node remains except as the whole formula.
+    no Const node remains except as the whole formula.  Simplified nodes are
+    marked, and simplifying a marked node returns it at once.
     """
+    return _simplify(formula, 0, TRUE)
+
+
+def _simplify(formula: Formula, bit: int, value: Const) -> Formula:
+    """simplify(formula) with the variable of mask ``bit`` (0: none) set to
+    ``value``.  Only simplified nodes are marked, so no node holds another
+    tree; marked subtrees without the variable are returned as they are."""
+    if bit and not bit & variable_mask(formula):
+        bit = 0
+    if isinstance(formula, (Const, Var)):
+        return value if bit else formula
+    if not bit and getattr(formula, "_simple", False):
+        return formula
     match formula:
-        case Const() | Var():
-            return formula
         case Not(child):
-            inner = simplify(child)
+            inner = _simplify(child, bit, value)
             if isinstance(inner, Const):
-                return Const(not inner.value)
-            return Not(inner)
+                return FALSE if inner.value else TRUE
+            result = formula if inner is child else Not(inner)
         case And(children) | Or(children):
             absorbing = isinstance(formula, Or)  # False absorbs And, True absorbs Or
             kept: list[Formula] = []
             for child in children:
-                inner = simplify(child)
+                inner = _simplify(child, bit, value)
                 if isinstance(inner, Const):
                     if inner.value == absorbing:
-                        return Const(absorbing)
+                        return TRUE if absorbing else FALSE
                     continue
                 kept.append(inner)
             if not kept:
-                return Const(not absorbing)
+                return FALSE if absorbing else TRUE
             if len(kept) == 1:
                 return kept[0]
-            return type(formula)(*kept)
-    raise TypeError(f"not a formula: {formula!r}")
+            unchanged = len(kept) == len(children) and all(map(operator.is_, kept, children))
+            result = formula if unchanged else type(formula)(*kept)
+        case _:
+            raise TypeError(f"not a formula: {formula!r}")
+    object.__setattr__(result, "_simple", True)
+    return result
 
 
 def _map_vars(formula: Formula, mapping: Mapping[int, Formula]) -> Formula:
@@ -329,12 +397,14 @@ def _map_vars(formula: Formula, mapping: Mapping[int, Formula]) -> Formula:
 def substitute(formula: Formula, index: int, value: bool) -> Formula:
     """Assign one variable and simplify.
 
-    The result's variable set is contained in vars(F) minus the assigned
-    variable and its serialization is strictly shorter than the input's.
+    Only the paths to the variable are rebuilt; other simplified subtrees
+    are kept as they are.  The result's variable set is contained in vars(F)
+    minus the assigned variable and its serialization is strictly shorter
+    than the input's.
     """
-    if index not in variables(formula):
+    if not (index > 0 and variable_mask(formula) >> index & 1):
         raise UnknownVariable(f"variable x{index} does not occur in the formula")
-    return simplify(_map_vars(formula, {index: Const(value)}))
+    return _simplify(formula, 1 << index, TRUE if value else FALSE)
 
 
 def self_reduce(formula: Formula) -> tuple[Formula, Formula, int]:
@@ -343,10 +413,10 @@ def self_reduce(formula: Formula) -> tuple[Formula, Formula, int]:
     Returns (F with the variable True, F with it False, the variable); the
     input is satisfiable iff at least one of the two children is.
     """
-    occurring = variables(formula)
-    if not occurring:
+    mask = variable_mask(formula)
+    if not mask:
         raise NoVariables("cannot self-reduce a constant formula")
-    split_var = min(occurring)
+    split_var = (mask & -mask).bit_length() - 1
     return (
         substitute(formula, split_var, True),
         substitute(formula, split_var, False),
@@ -407,8 +477,8 @@ def brute_force_limit() -> int:
         raise InvalidParams(f"{BRUTE_FORCE_LIMIT_ENV} must be an integer, got {raw!r}") from None
 
 
-def _variable_mask(position: int, total_bits: int) -> int:
-    # Bit m of the mask is the value of this variable in assignment number m.
+def _column(position: int, total_bits: int) -> int:
+    # Bit m of the column is the value of this variable in assignment number m.
     half = 1 << position
     segment = ((1 << half) - 1) << half
     width = half << 1
@@ -450,15 +520,13 @@ def brute_force_count(formula: Formula, limit: int | None = None) -> int:
     the reference oracle everything else is checked against.
     """
     effective = brute_force_limit() if limit is None else limit
-    occurring = sorted(variables(formula))
-    k = len(occurring)
+    k = variable_mask(formula).bit_count()
     if k > effective:
         raise TooLarge(f"{k} variables exceeds the exhaustive limit of {effective}")
-    if k == 0:
-        return 1 if evaluate(formula, {}) else 0
     total_bits = 1 << k
     full = (1 << total_bits) - 1
-    masks = {index: _variable_mask(pos, total_bits) for pos, index in enumerate(occurring)}
+    occurring = sorted(variables(formula))
+    masks = {index: _column(pos, total_bits) for pos, index in enumerate(occurring)}
     return _truth_table(formula, masks, full).bit_count()
 
 

@@ -26,7 +26,7 @@ from .formula import (
     brute_force_count,
     serialize,
     substitute,
-    variables,
+    variable_mask,
 )
 
 NON_TALLY_TOKEN = "1"
@@ -72,6 +72,13 @@ class _CountedOracle:
         self.call_counter += 1
         return self._query(*args)
 
+    def _image(self, formula: Formula) -> str:
+        image = self._ask(formula)
+        if not isinstance(image, str):
+            kind = type(image).__name__
+            raise OracleContractViolation(f"{type(self).__name__} image of type {kind}, not str")
+        return image
+
 
 class SelectorOracle(_CountedOracle):
     """Always returns one of its two arguments; returns a satisfiable one
@@ -92,7 +99,7 @@ class TallyReductionOracle(_CountedOracle):
         super().__init__(map_fn)
 
     def map(self, formula: Formula) -> str:
-        return self._ask(formula)
+        return self._image(formula)
 
 
 class SparseCoReductionOracle(_CountedOracle):
@@ -110,7 +117,7 @@ class SparseCoReductionOracle(_CountedOracle):
         self.r = r
 
     def map(self, formula: Formula) -> str:
-        return self._ask(formula)
+        return self._image(formula)
 
 
 class TwoEnumeratorOracle(_CountedOracle):
@@ -283,11 +290,8 @@ _DEFAULT_COUNT_BUDGET = 50_000
 def exact_model_count(formula: Formula, budget: int = _DEFAULT_COUNT_BUDGET) -> int:
     """Exact model count over vars(formula); raises TooLarge if the formula
     resists decomposition within the work budget."""
-    # brute_force_count's own size check picks out small formulas.
-    try:
+    if variable_mask(formula).bit_count() <= _BIT_PARALLEL_LIMIT:
         return brute_force_count(formula, limit=_BIT_PARALLEL_LIMIT)
-    except TooLarge:
-        pass
     return _component_count(formula, {}, [budget])
 
 
@@ -300,8 +304,7 @@ def _component_count(formula: Formula, memo: dict[str, int], remaining: list[int
     key = serialize(formula)
     if key in memo:
         return memo[key]
-    occurring = variables(formula)
-    k = len(occurring)
+    k = variable_mask(formula).bit_count()
     if k <= _BIT_PARALLEL_LIMIT:
         result = brute_force_count(formula, limit=_BIT_PARALLEL_LIMIT)
         memo[key] = result
@@ -325,24 +328,24 @@ def _component_count(formula: Formula, memo: dict[str, int], remaining: list[int
     for value in (True, False):
         child = substitute(formula, split_var, value)
         child_count = _component_count(child, memo, remaining)
-        result += child_count << (slots - len(variables(child)))
+        result += child_count << (slots - variable_mask(child).bit_count())
     memo[key] = result
     return result
 
 
 def _disjoint_groups(children: tuple[Formula, ...]) -> list[list[Formula]]:
-    groups: list[tuple[set[int], list[Formula]]] = []
+    groups: list[tuple[int, list[Formula]]] = []
     for child in children:
-        child_vars = set(variables(child))
-        merged_vars, merged_children = child_vars, [child]
+        child_mask = variable_mask(child)
+        merged_mask, merged_children = child_mask, [child]
         kept = []
-        for group_vars, group_children in groups:
-            if group_vars & child_vars:
-                merged_vars |= group_vars
+        for group_mask, group_children in groups:
+            if group_mask & child_mask:
+                merged_mask |= group_mask
                 merged_children = group_children + merged_children
             else:
-                kept.append((group_vars, group_children))
-        kept.append((merged_vars, merged_children))
+                kept.append((group_mask, group_children))
+        kept.append((merged_mask, merged_children))
         groups = kept
     return [children_ for _, children_ in groups]
 

@@ -28,10 +28,9 @@ from .formula import (
     Formula,
     evaluate,
     serialize,
+    self_reduce,
     serialized_length,
     simplify,
-    substitute,
-    variables,
 )
 from .oracles import (
     SparseCoReductionOracle,
@@ -95,9 +94,8 @@ def _split_frontier(
         if isinstance(node, Const):
             children.append((node, image))
             continue
-        split_var = min(variables(node))
-        for value in (True, False):
-            child = substitute(node, split_var, value)
+        *pair, _ = self_reduce(node)  # split on the least variable
+        for child in pair:
             if serialized_length(child) > root_length:
                 raise EncodingInvariantBroken(
                     f"child {serialize(child)!r} exceeds the input length {root_length}"

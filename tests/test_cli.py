@@ -4,7 +4,7 @@ import pytest
 
 from selfred.cli import ExperimentConfig, main, run
 from selfred.errors import InvalidParams
-from selfred.formula import And, Not, Or, parse
+from selfred.formula import MAX_NESTING, And, Not, Or, parse
 from selfred.generate import generate_random
 
 
@@ -248,3 +248,44 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "count" in captured.err
+
+
+def nested_at(levels: int) -> str:
+    """A formula whose deepest point sits under ``levels`` "!" and "(" levels,
+    alternating & and | over three variables so that every level is a node."""
+    text = "x1"
+    for level in range(levels):
+        op = "&" if level % 2 else "|"
+        text = f"!{text}" if level % 3 == 2 else f"(x{level % 3 + 1} {op} {text})"
+    return text
+
+
+class TestDeepNesting:
+    COMMANDS = [["decide", "selector"], ["decide", "tally"], ["decide", "sparse"], ["count", "enum"]]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("shape", ["alternating", "parentheses", "negations"])
+    def test_formula_at_the_limit_runs_end_to_end(self, tmp_path, capsys, command, shape):
+        text = {
+            "alternating": nested_at(MAX_NESTING),
+            "parentheses": "(" * MAX_NESTING + "x1 | x2" + ")" * MAX_NESTING,
+            "negations": "!" * MAX_NESTING + "x1",
+        }[shape]
+        path = tmp_path / "deep.txt"
+        path.write_text(text + "\n")
+        summary = tmp_path / "summary.csv"
+        assert main(command + ["--file", str(path), "--summary", str(summary)]) == 0
+        assert "1/1 verified records agree" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_level_deeper_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.txt"
+        path.write_text(nested_at(MAX_NESTING + 1) + "\n")
+        assert main(command + ["--file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "nested" in captured.err
+
+    def test_far_too_deep_exits_2(self, capsys):
+        assert main(["decide", "selector", "--inline", "!" * 3000 + "x1"]) == 2
+        assert capsys.readouterr().err.startswith("error:")

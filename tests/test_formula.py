@@ -1,3 +1,7 @@
+import dataclasses
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +14,8 @@ from selfred.errors import (
     UnknownVariable,
 )
 from selfred.formula import (
+    MAX_INDEX_DIGITS,
+    MAX_NESTING,
     And,
     Const,
     Not,
@@ -27,6 +33,7 @@ from selfred.formula import (
     serialized_length,
     simplify,
     substitute,
+    variable_mask,
     variables,
 )
 
@@ -162,6 +169,11 @@ class TestSubstitute:
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariable):
             substitute(parse("x1"), 2, True)
+
+    @pytest.mark.parametrize("index", [0, -3, 10**15])
+    def test_index_outside_the_mask_is_unknown(self, index):
+        with pytest.raises(UnknownVariable):
+            substitute(parse("x1 & x2"), index, True)
 
     @settings(max_examples=300, deadline=None)
     @given(formulas(), st.integers(1, 4), st.booleans())
@@ -317,6 +329,22 @@ class TestDimacs:
         with pytest.raises(FormulaSyntaxError):
             parse_dimacs(text)
 
+    @pytest.mark.parametrize(
+        "text,offset",
+        [
+            ("c x\np cnf 2\n", 4),  # bad problem line: its first byte
+            ("p cnf 2 1\n1 x 0\n", 12),  # bad literal: the token
+            ("c \u00e9\n1 0\np cnf 1 1\n", 5),  # clause before the problem line; 2-byte char
+            ("p cnf 2 1\n1 -3 0\n", 12),  # literal above the declared count: the token
+            ("p cnf 1 1\r\np cnf 1 1\n", 11),  # duplicate problem line
+            ("p cnf 2 1\n  1\t 2\n", 17),  # unterminated clause: end of input
+        ],
+    )
+    def test_errors_carry_byte_offset(self, text, offset):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_dimacs(text)
+        assert exc.value.offset == offset
+
 
 class TestNodeInvariants:
     def test_arity(self):
@@ -332,3 +360,250 @@ class TestNodeInvariants:
     def test_constructor_flattening(self):
         assert And(And(Var(1), Var(2)), Var(3)) == And(Var(1), Var(2), Var(3))
         assert Or(Var(1), Or(Var(2), Var(3))) == Or(Var(1), Var(2), Var(3))
+
+
+class TestIndexLength:
+    def test_longest_index_parses(self):
+        index = int("9" * MAX_INDEX_DIGITS)
+        assert variables(parse(f"x1 | !x{index}")) == {1, index}
+        text = f"p cnf {index} 1\n{index} -1 0\n"
+        assert variables(parse_dimacs(text)) == {1, index}
+
+    @pytest.mark.parametrize(
+        "text,offset",
+        [
+            ("x1 | x" + "1" * (MAX_INDEX_DIGITS + 1), 6 + MAX_INDEX_DIGITS),
+            ("x" + "9" * 5000, 1 + MAX_INDEX_DIGITS),  # would pass int()'s digit limit
+            ("x1\u00b2", 2),  # a superscript digit is not a digit of the grammar
+        ],
+    )
+    def test_longer_or_foreign_digits_are_syntax_errors(self, text, offset):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse(text)
+        assert exc.value.offset == offset
+
+    def test_dimacs_variable_count_too_long(self):
+        with pytest.raises(FormulaSyntaxError, match="digits") as exc:
+            parse_dimacs("c big\np cnf 1" + "0" * MAX_INDEX_DIGITS + " 1\n1 0\n")
+        assert exc.value.offset == 6
+
+
+class TestNesting:
+    @pytest.mark.parametrize("opener,closer", [("!", ""), ("(", ")"), ("!(", ")")])
+    def test_limit_is_inclusive(self, opener, closer):
+        levels = MAX_NESTING // len(opener)
+        formula = parse(opener * levels + "x1" + closer * levels)
+        assert variables(formula) == {1}
+
+    @pytest.mark.parametrize("opener,closer", [("!", ""), ("(", ")")])
+    def test_one_level_more_is_a_syntax_error(self, opener, closer):
+        text = "x2 & " + opener * (MAX_NESTING + 1) + "x1" + closer * (MAX_NESTING + 1)
+        with pytest.raises(FormulaSyntaxError, match="nested") as exc:
+            parse(text)
+        assert exc.value.offset == len("x2 & ") + MAX_NESTING
+
+    def test_far_too_deep_is_a_syntax_error(self):
+        for text in ("!" * 3000 + "x1", "(" * 3000 + "x1" + ")" * 3000):
+            with pytest.raises(FormulaSyntaxError):
+                parse(text)
+
+    def test_siblings_do_not_add_up(self):
+        level = "!" * MAX_NESTING + "x1"
+        assert variables(parse(" & ".join([level] * 3))) == {1}
+
+
+# Uncached reference definitions of the kernel, as the module had them
+# before nodes carried caches; the cached functions must agree with them.
+def reference_variables(formula):
+    match formula:
+        case Const():
+            return frozenset()
+        case Var(index):
+            return frozenset((index,))
+        case Not(child):
+            return reference_variables(child)
+        case And(children) | Or(children):
+            return frozenset().union(*(reference_variables(c) for c in children))
+
+
+def reference_serialize(formula, context=0):
+    # Precedence levels: Or 0 < And 1 < unary 2.
+    match formula:
+        case Const(value):
+            return "T" if value else "F"
+        case Var(index):
+            return f"x{index}"
+        case Not(child):
+            return "!" + reference_serialize(child, 2)
+        case And(children) | Or(children):
+            joiner, own = (" & ", 1) if isinstance(formula, And) else (" | ", 0)
+            text = joiner.join(reference_serialize(c, 1) for c in children)
+            return f"({text})" if context > own else text
+
+
+def reference_simplify(formula):
+    match formula:
+        case Const() | Var():
+            return formula
+        case Not(child):
+            inner = reference_simplify(child)
+            return Const(not inner.value) if isinstance(inner, Const) else Not(inner)
+        case And(children) | Or(children):
+            absorbing = isinstance(formula, Or)
+            kept = []
+            for child in children:
+                inner = reference_simplify(child)
+                if isinstance(inner, Const):
+                    if inner.value == absorbing:
+                        return Const(absorbing)
+                    continue
+                kept.append(inner)
+            if not kept:
+                return Const(not absorbing)
+            return kept[0] if len(kept) == 1 else type(formula)(*kept)
+
+
+def reference_substitute(formula, index, value):
+    def assign(node):
+        match node:
+            case Const():
+                return node
+            case Var(i):
+                return Const(value) if i == index else node
+            case Not(child):
+                return Not(assign(child))
+            case And(children) | Or(children):
+                return type(node)(*(assign(c) for c in children))
+
+    return reference_simplify(assign(formula))
+
+
+def subtrees(formula):
+    yield formula
+    match formula:
+        case Not(child):
+            yield from subtrees(child)
+        case And(children) | Or(children):
+            for child in children:
+                yield from subtrees(child)
+
+
+class TestCachedKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(formulas(max_vars=6, max_leaves=12))
+    def test_matches_uncached_reference(self, formula):
+        for _ in range(2):  # the second round reads the caches
+            assert serialize(formula) == reference_serialize(formula)
+            assert variables(formula) == reference_variables(formula)
+            assert variable_mask(formula) == sum(1 << i for i in reference_variables(formula))
+            assert simplify(formula) == reference_simplify(formula)
+            for node in subtrees(formula):
+                assert serialize(node) == reference_serialize(node)
+
+    @settings(max_examples=300, deadline=None)
+    @given(formulas(max_vars=6, max_leaves=12), st.booleans(), st.booleans())
+    def test_substitute_matches_reference(self, formula, value, presimplify):
+        if presimplify:
+            formula = simplify(formula)
+        for index in sorted(reference_variables(formula)):
+            expected = reference_substitute(formula, index, value)
+            result = substitute(formula, index, value)
+            assert result == expected
+            assert serialize(result) == reference_serialize(expected)
+            assert variables(result) == reference_variables(expected)
+        # A whole walk down one branch, each step on the previous result.
+        current = formula
+        while reference_variables(current):
+            index = min(reference_variables(current))
+            expected = reference_substitute(current, index, value)
+            current = substitute(current, index, value)
+            assert current == expected and serialize(current) == reference_serialize(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(formulas(max_vars=6, max_leaves=12), st.booleans())
+    def test_substitute_keeps_children_without_the_variable(self, formula, value):
+        formula = simplify(formula)
+        if not isinstance(formula, (And, Or)):
+            return
+        for index in variables(formula):
+            result = substitute(formula, index, value)
+            if type(result) is not type(formula):
+                continue  # collapsed to a constant or a single child
+            for child in formula.children:
+                if index not in variables(child):
+                    assert any(child is kept for kept in result.children)
+
+    def test_substitute_shares_untouched_subtrees(self):
+        formula = simplify(parse("(x1 | x2 & !(x3 | x4)) & (x5 | !x6) & !(x7 & x8)"))
+        result = substitute(formula, 1, False)
+        first, second, third = formula.children
+        assert result.children[-2] is second and result.children[-1] is third
+        # x1 = F leaves x2 & !(x3 | x4), which flattens into the outer And.
+        assert result.children[1] is first.children[1].children[1]
+
+    def test_high_indices_beyond_the_cached_mask_width(self):
+        formula = parse("(x5000 | !x3) & (x7000 | x5000) & !x2")
+        for _ in range(2):
+            assert variables(formula) == {2, 3, 5000, 7000}
+            assert not hasattr(formula, "_mask")  # too wide to keep
+            assert variable_mask(formula) == (1 << 2) | (1 << 3) | (1 << 5000) | (1 << 7000)
+        for index in (3, 5000, 7000):
+            assert substitute(formula, index, False) == reference_substitute(formula, index, False)
+        assert brute_force_count(formula) == naive_count(formula)
+
+    def test_simplify_returns_a_simplified_formula_itself(self):
+        once = simplify(parse("x1 & (x2 | !x3) & T"))
+        assert simplify(once) is once
+        plain = parse("x1 & (x2 | !x3)")
+        assert simplify(plain) is plain
+
+    def test_simplify_leaves_its_input_unchanged(self):
+        formula = parse("x1 & T & (x2 | F)")
+        assert simplify(formula) == parse("x1 & x2")
+        assert formula == And(Var(1), Const(True), Or(Var(2), Const(False)))
+        assert serialize(formula) == "x1 & T & (x2 | F)"
+
+    def test_equality_hash_and_repr_ignore_caches(self):
+        text = "!(x1 & x2) | x3 & (x4 | !x1)"
+        warm, cold = parse(text), parse(text)
+        serialize(warm), variables(warm), simplify(warm), substitute(warm, 1, True)
+        assert warm == cold and cold == warm
+        assert hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold)
+        assert {warm: 1}[cold] == 1
+        for node in (Const(True), Var(1), Not(Var(1)), And(Var(1), Var(2)), Or(Var(1), Var(2))):
+            assert [f.name for f in dataclasses.fields(node)] == list(type(node).__match_args__)
+            assert not hasattr(node, "__dict__")  # slotted: the caches are slots
+
+    def test_threads_sharing_formulas_fill_the_same_caches(self):
+        # Caches are filled without a lock; a racing thread may only ever
+        # store the value another thread would store.
+        shared = [
+            parse(f"(x{i} | !x{i + 1}) & (x{i + 2} | x{i + 3} & !(x{i} | x{i + 4}))")
+            for i in range(1, 40)
+        ]
+        expected = [
+            (reference_serialize(f), reference_variables(f), reference_substitute(f, i, True))
+            for i, f in enumerate(shared, start=1)
+        ]
+        failures = []
+
+        def work():
+            for _ in range(20):
+                for formula, (text, occurring, child) in zip(shared, expected):
+                    got = (serialize(formula), variables(formula), self_reduce(simplify(formula))[0])
+                    if got != (text, occurring, child):
+                        failures.append(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []

@@ -1,11 +1,12 @@
 import pytest
 
-from selfred.errors import InvalidBound
+from selfred.errors import InvalidBound, OracleContractViolation
 from selfred.formula import Const, brute_force_sat, parse
 from selfred.generate import generate_corpus
 from selfred.oracles import (
     PolynomialBound,
     SparseCoReductionOracle,
+    TallyReductionOracle,
     is_tally_string,
     simulated_sparse_coreduction,
     simulated_tally_reduction,
@@ -209,3 +210,19 @@ class TestTightBoundOracle:
             assert early == capped == reference
             if early_stats.outcome == OUTCOME_EARLY_SAT:
                 assert reference
+
+
+class TestImageContract:
+    def test_tally_image_must_be_a_string(self):
+        oracle = TallyReductionOracle(lambda f: 7)
+        with pytest.raises(OracleContractViolation, match="type int"):
+            decide_via_tally(parse("x1 | x2"), oracle)
+
+    def test_sparse_image_must_be_a_string(self):
+        oracle = SparseCoReductionOracle(
+            lambda f: None if brute_force_sat(f) else "1",
+            q=PolynomialBound((1,)),
+            r=PolynomialBound((1,)),
+        )
+        with pytest.raises(OracleContractViolation, match="type NoneType"):
+            decide_via_sparse(parse("x1 | x2"), oracle)
