@@ -28,7 +28,7 @@ from .formula import (
     parse,
     parse_dimacs,
     serialize,
-    variables,
+    variable_mask,
 )
 from .generate import generate_random
 from .oracles import (
@@ -185,7 +185,7 @@ def _run_one(config: ExperimentConfig, oracle, formula_id: int, formula: Formula
     return RunRecord(
         formula_id=formula_id,
         formula=serialize(formula),
-        vars=len(variables(formula)),
+        vars=variable_mask(formula).bit_count(),
         algorithm=config.algorithm,
         oracle_style=config.oracle_style,
         seed=config.seed,
@@ -238,9 +238,10 @@ def run(config: ExperimentConfig) -> list[RunRecord]:
     if config.verify:
         limit = brute_force_limit()
         for formula in config.formulas:
-            if len(variables(formula)) > limit:
+            k = variable_mask(formula).bit_count()
+            if k > limit:
                 raise InvalidParams(
-                    f"{len(variables(formula))} variables exceeds the verification "
+                    f"{k} variables exceeds the verification "
                     f"limit of {limit}; rerun with --no-verify or raise "
                     f"SELFRED_BRUTE_LIMIT"
                 )

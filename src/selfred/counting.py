@@ -37,6 +37,7 @@ from .formula import (
     rename_variables,
     self_reduce,
     simplify,
+    variable_mask,
     variables,
 )
 from .oracles import TwoEnumeratorOracle, honest_two_enumerator
@@ -89,7 +90,7 @@ def _contiguous_renaming(formula: Formula, start: int) -> tuple[Formula, int]:
 
 def combine(left: Formula, right: Formula) -> CombineRecipe:
     """Pack two formulas into one whose count encodes both operand counts."""
-    if not variables(left) or not variables(right):
+    if not variable_mask(left) or not variable_mask(right):
         raise ConstantOperand("combine requires operands with at least one variable")
     renamed_left, n = _contiguous_renaming(left, 1)
     renamed_right, m = _contiguous_renaming(right, n + 1)
@@ -176,20 +177,19 @@ def count_via_enumerator(
     """Exact model count over vars(formula) using a two-candidate enumerator."""
     chain: list[Linkage] = []
     simplified = simplify(formula)
-    lift = len(variables(formula)) - len(variables(simplified))
+    lift = variable_mask(formula).bit_count() - variable_mask(simplified).bit_count()
     count = _count(simplified, oracle, chain, depth=0)
     return count << lift, chain
 
 
 def _lift(count: int, child: Formula, slots: int) -> int:
-    return count << (slots - len(variables(child)))
+    return count << (slots - variable_mask(child).bit_count())
 
 
 def _count(formula: Formula, oracle: TwoEnumeratorOracle, chain: list[Linkage], depth: int) -> int:
     if isinstance(formula, Const):
         return int(formula.value)
-    k = len(variables(formula))
-    slots = k - 1
+    slots = variable_mask(formula).bit_count() - 1
     true_child, false_child, _ = self_reduce(formula)
     true_const = isinstance(true_child, Const)
     false_const = isinstance(false_child, Const)
@@ -287,7 +287,7 @@ def demonstrate_naive_failure() -> NaiveFailureReport:
     for text in ("x1 & !x1 & x2", "!x1 & x2"):
         formula = parse(text)
         true_child, false_child, _ = self_reduce(formula)
-        slots = len(variables(formula)) - 1
+        slots = variable_mask(formula).bit_count() - 1
         witnesses.append(
             NaiveFailureWitness(
                 formula=formula,

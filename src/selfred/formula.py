@@ -44,6 +44,12 @@ MAX_NESTING = 200
 _CACHED_MASK_BITS = 1024
 # Longest variable index that formula text and DIMACS input may spell out.
 MAX_INDEX_DIGITS = 6
+# Variables whose assignments one truth-table block spans: their columns are
+# 2^16 bits (8 KB), and every other variable is constant within a block.
+_BLOCK_VARS = 16
+# Longest clause count parse_dimacs converts; far more clauses than any text
+# holds, and far below int()'s limit on digits.
+_MAX_CLAUSE_COUNT_DIGITS = 18
 
 
 class _Node:
@@ -283,6 +289,8 @@ def parse_dimacs(text: str) -> Formula:
                 raise FormulaSyntaxError(f"negative or non-integer count on line {line_no}", at)
             if len(parts[2]) > MAX_INDEX_DIGITS:
                 raise FormulaSyntaxError(f"variable count above {MAX_INDEX_DIGITS} digits", at)
+            if len(parts[3]) > _MAX_CLAUSE_COUNT_DIGITS:
+                raise FormulaSyntaxError(f"clause count above {_MAX_CLAUSE_COUNT_DIGITS} digits", at)
             var_count, clause_count, problem_at = int(parts[2]), int(parts[3]), at
             continue
         if var_count is None:
@@ -513,23 +521,45 @@ def _truth_table(formula: Formula, masks: dict[int, int], full: int) -> int:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def brute_force_count(formula: Formula, limit: int | None = None) -> int:
-    """Exact model count over vars(F) by evaluating all 2^k assignments.
+def _model_count(formula: Formula, limit: int | None, stop_at_model: bool) -> int:
+    """Models among all 2^k assignments, in blocks of 2^_BLOCK_VARS.
 
-    Intentionally naive (a dense truth table, no solver heuristics); this is
-    the reference oracle everything else is checked against.
-    """
+    Assignment number m gives the variable of rank r the value of bit r of m.
+    The lowest _BLOCK_VARS variables get columns one block wide; the rest are
+    constant within a block, all-ones or all-zero, so block b holds the
+    assignments b * 2^_BLOCK_VARS onwards.  With ``stop_at_model`` the count
+    stops after the first block that holds a model."""
     effective = brute_force_limit() if limit is None else limit
     k = variable_mask(formula).bit_count()
     if k > effective:
         raise TooLarge(f"{k} variables exceeds the exhaustive limit of {effective}")
-    total_bits = 1 << k
-    full = (1 << total_bits) - 1
     occurring = sorted(variables(formula))
-    masks = {index: _column(pos, total_bits) for pos, index in enumerate(occurring)}
-    return _truth_table(formula, masks, full).bit_count()
+    low = min(k, _BLOCK_VARS)
+    block_bits = 1 << low
+    full = (1 << block_bits) - 1
+    masks = {index: _column(rank, block_bits) for rank, index in enumerate(occurring[:low])}
+    high = occurring[low:]
+    count = 0
+    for block in range(1 << len(high)):
+        for rank, index in enumerate(high):
+            masks[index] = full if block >> rank & 1 else 0
+        count += _truth_table(formula, masks, full).bit_count()
+        if stop_at_model and count:
+            break
+    return count
+
+
+def brute_force_count(formula: Formula, limit: int | None = None) -> int:
+    """Exact model count over vars(F) by evaluating all 2^k assignments.
+
+    Intentionally naive (bit-parallel evaluation of the whole tree, block by
+    block, no solver heuristics); this is the reference oracle everything
+    else is checked against.
+    """
+    return _model_count(formula, limit, stop_at_model=False)
 
 
 def brute_force_sat(formula: Formula, limit: int | None = None) -> bool:
-    """Satisfiability by exhaustive enumeration."""
-    return brute_force_count(formula, limit) > 0
+    """Satisfiability by exhaustive enumeration, stopping at the first block
+    that holds a model."""
+    return _model_count(formula, limit, stop_at_model=True) > 0

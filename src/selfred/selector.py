@@ -24,6 +24,7 @@ from .formula import (
     serialize,
     simplify,
     substitute,
+    variable_mask,
     variables,
 )
 from .oracles import SelectorOracle
@@ -60,7 +61,7 @@ def decide_via_selector(
     steps: list[PathStep] = []
     calls_before = selector.call_counter
     for split_var in sorted(variables(current)):  # fixed walk order over the input's variables
-        if split_var in variables(current):
+        if variable_mask(current) >> split_var & 1:
             true_child = substitute(current, split_var, True)
             false_child = substitute(current, split_var, False)
         else:

@@ -1,4 +1,7 @@
 import dataclasses
+import functools
+import operator
+import random
 import sys
 import threading
 
@@ -13,6 +16,7 @@ from selfred.errors import (
     TooLarge,
     UnknownVariable,
 )
+from selfred import formula as formula_module
 from selfred.formula import (
     MAX_INDEX_DIGITS,
     MAX_NESTING,
@@ -36,6 +40,7 @@ from selfred.formula import (
     variable_mask,
     variables,
 )
+from selfred.generate import generate_random
 
 
 def formulas(max_vars: int = 4, max_leaves: int = 8) -> st.SearchStrategy:
@@ -253,6 +258,106 @@ class TestBruteForce:
             assert brute_force_count(ground) == int(evaluate(formula, assignment))
 
 
+def dense_count(formula) -> int:
+    """Model count from one truth table over all 2^k assignments, built
+    independently of the blocked evaluation: from bit 0 up, the column of
+    the variable of rank r repeats 2^r zeros and 2^r ones."""
+    occurring = sorted(variables(formula))
+    total = 1 << len(occurring)
+    full = (1 << total) - 1
+    columns = {}
+    for rank, index in enumerate(occurring):
+        half = 1 << rank
+        columns[index] = int(("1" * half + "0" * half) * (total // (2 * half)), 2)
+
+    def table(node) -> int:
+        match node:
+            case Const(value):
+                return full if value else 0
+            case Var(index):
+                return columns[index]
+            case Not(child):
+                return full ^ table(child)
+            case And(children):
+                return functools.reduce(operator.and_, map(table, children), full)
+            case Or(children):
+                return functools.reduce(operator.or_, map(table, children), 0)
+
+    return table(formula).bit_count()
+
+
+def with_constant_children(formula, rng):
+    """The formula with a constant child added to some And/Or nodes.  Every
+    variable still occurs, so k is unchanged."""
+    match formula:
+        case Not(child):
+            return Not(with_constant_children(child, rng))
+        case And(children) | Or(children):
+            kept = [with_constant_children(c, rng) for c in children]
+            if rng.random() < 0.2:
+                kept.insert(rng.randrange(len(kept) + 1), Const(rng.random() < 0.5))
+            return type(formula)(*kept)
+    return formula
+
+
+def count_blocks(monkeypatch) -> list[int]:
+    """Patch _truth_table to count its outermost calls, one per block."""
+    original = formula_module._truth_table
+    depth, blocks = [0], [0]
+
+    def counted(node, masks, full):
+        blocks[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return original(node, masks, full)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(formula_module, "_truth_table", counted)
+    return blocks
+
+
+class TestBlockedTruthTable:
+    @pytest.mark.parametrize("k", [15, 16, 17, 18, 20])
+    def test_matches_dense_table(self, k):
+        rng = random.Random(k)
+        for seed in range(3):
+            formula = with_constant_children(generate_random(k, 2 * k + 2, 500 * k + seed), rng)
+            assert variable_mask(formula).bit_count() == k
+            expected = dense_count(formula)
+            assert brute_force_count(formula) == expected
+            assert brute_force_sat(formula) == (expected > 0)
+
+    def test_only_model_in_last_block(self):
+        formula = And(*(Var(i) for i in range(1, 21)))
+        assert brute_force_sat(formula)
+        assert brute_force_count(formula) == 1
+
+    def test_only_model_in_first_block(self):
+        formula = And(*(Not(Var(i)) for i in range(1, 21)))
+        assert brute_force_sat(formula)
+        assert brute_force_count(formula) == 1
+
+    def test_sat_stops_at_first_block_with_a_model(self, monkeypatch):
+        blocks = count_blocks(monkeypatch)
+        assert brute_force_sat(And(*(Not(Var(i)) for i in range(1, 21))))
+        assert blocks[0] == 1
+
+    def test_unsatisfiable_evaluates_every_block(self, monkeypatch):
+        blocks = count_blocks(monkeypatch)
+        assert not brute_force_sat(And(Var(1), Not(Var(1)), *(Var(i) for i in range(2, 21))))
+        assert blocks[0] == 1 << (20 - 16)
+
+    def test_too_large_before_any_block(self, monkeypatch):
+        blocks = count_blocks(monkeypatch)
+        formula = Or(*(Var(i) for i in range(1, 21)))
+        with pytest.raises(TooLarge):
+            brute_force_sat(formula, limit=19)
+        with pytest.raises(TooLarge):
+            brute_force_count(formula, limit=19)
+        assert blocks[0] == 0
+
+
 class TestSelfReducibilityProperties:
     @settings(max_examples=300, deadline=None)
     @given(formulas())
@@ -328,6 +433,13 @@ class TestDimacs:
     def test_malformed(self, text):
         with pytest.raises(FormulaSyntaxError):
             parse_dimacs(text)
+
+    def test_clause_count_past_int_digit_limit(self):
+        # int() refuses more than 4 300 digits with a plain ValueError.
+        text = "c x\np cnf 1 " + "1" * 4301 + "\n1 0\n"
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_dimacs(text)
+        assert exc.value.offset == 4  # the problem line's first byte
 
     @pytest.mark.parametrize(
         "text,offset",
