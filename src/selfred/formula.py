@@ -19,6 +19,7 @@ share across threads.
 
 from __future__ import annotations
 
+import functools
 import operator
 import os
 import re
@@ -496,6 +497,13 @@ def _column(position: int, total_bits: int) -> int:
     return segment
 
 
+@functools.cache
+def _full_block_columns() -> tuple[int, ...]:
+    """Columns of the lowest _BLOCK_VARS variables in a full-width block,
+    built once: every table of at least _BLOCK_VARS variables uses them."""
+    return tuple(_column(rank, 1 << _BLOCK_VARS) for rank in range(_BLOCK_VARS))
+
+
 def _truth_table(formula: Formula, masks: dict[int, int], full: int) -> int:
     match formula:
         case Const(value):
@@ -537,7 +545,10 @@ def _model_count(formula: Formula, limit: int | None, stop_at_model: bool) -> in
     low = min(k, _BLOCK_VARS)
     block_bits = 1 << low
     full = (1 << block_bits) - 1
-    masks = {index: _column(rank, block_bits) for rank, index in enumerate(occurring[:low])}
+    if low == _BLOCK_VARS:
+        masks = dict(zip(occurring, _full_block_columns()))  # stops after _BLOCK_VARS
+    else:
+        masks = {index: _column(rank, block_bits) for rank, index in enumerate(occurring)}
     high = occurring[low:]
     count = 0
     for block in range(1 << len(high)):

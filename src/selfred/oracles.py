@@ -3,10 +3,16 @@
 Each constructor returns an oracle whose input/output behavior satisfies the
 declared contract (checked against brute force by the test suite); all of
 them answer through one memoized ``exact_model_count``, and satisfiable means
-a positive count.  Oracles are deterministic, which the deciders'
-duplicate-image pruning relies on.  The only mutable state is the call
-counter and the style-internal image/count memos, so confine instances to one
-thread (results never depend on interleaving; the counter is not atomic).
+a positive count.  That counter splits variable-disjoint conjunctions, sums
+mutually exclusive disjunctions and Shannon-expands the rest.  Oracles are
+deterministic, which the deciders' duplicate-image pruning relies on.  The
+only mutable state is the call counter and the style-internal image/count
+memos, so confine instances to one thread (results never depend on
+interleaving; the counter is not atomic).
+
+Answers of the wrong type raise ``OracleContractViolation``: a selector
+choice that is not a formula, an enumerator answer that is not a list of
+non-negative ints, an image that is not a string.
 """
 
 from __future__ import annotations
@@ -88,7 +94,11 @@ class SelectorOracle(_CountedOracle):
         super().__init__(choose_fn)
 
     def choose(self, a: Formula, b: Formula) -> Formula:
-        return self._ask(a, b)
+        choice = self._ask(a, b)
+        if not isinstance(choice, (Const, Var, Not, And, Or)):
+            kind = type(choice).__name__
+            raise OracleContractViolation(f"selector chose a value of type {kind}, not a formula")
+        return choice
 
 
 class TallyReductionOracle(_CountedOracle):
@@ -121,18 +131,27 @@ class SparseCoReductionOracle(_CountedOracle):
 
 
 class TwoEnumeratorOracle(_CountedOracle):
-    """Outputs one or two candidate model counts; the true count is always in
-    the list."""
+    """Outputs a list of one or two non-negative int candidate model counts;
+    the true count is always in the list."""
 
     def __init__(self, enumerate_fn: Callable[[Formula], list[int]]) -> None:
         super().__init__(enumerate_fn)
 
     def enumerate(self, formula: Formula) -> list[int]:
         values = self._ask(formula)
+        if not isinstance(values, list):
+            kind = type(values).__name__
+            raise OracleContractViolation(f"2-enumerator answered a value of type {kind}, not list")
         if len(values) > 2:
             raise OracleContractViolation(
                 f"2-enumerator listed {len(values)} candidate counts {values}; at most two allowed"
             )
+        for value in values:
+            if type(value) is not int:
+                kind = type(value).__name__
+                raise OracleContractViolation(f"2-enumerator candidate of type {kind}, not int")
+            if value < 0:
+                raise OracleContractViolation(f"2-enumerator candidate {value} is negative")
         return values
 
 
@@ -280,9 +299,14 @@ def honest_two_enumerator(style: str, seed: int = 0) -> TwoEnumeratorOracle:
 
 # Every oracle counts here, on tree nodes and on combined formulas of about
 # triple the input's variables, so it cannot lean on the naive brute force.
-# This counter is exact and structure-aware: conjunctions split into
-# variable-disjoint components, everything else Shannon-splits on the most
-# frequent variable, and small residues fall through to the truth table.
+# This counter is exact and structure-aware, using the two rules that make
+# counting polynomial on d-DNNF (Darwiche and Marquis 2002): conjunctions split
+# into variable-disjoint components, and disjunctions whose children pairwise
+# contradict on a top-level unit literal sum their children's lifted counts.
+# The combiner's switch variable makes its formulas such disjunctions.
+# Literals count 1, everything else Shannon-splits on the most frequent
+# variable, and residues of at most 18 variables fall through to the truth
+# table.
 _BIT_PARALLEL_LIMIT = 18
 _DEFAULT_COUNT_BUDGET = 50_000
 
@@ -298,6 +322,8 @@ def exact_model_count(formula: Formula, budget: int = _DEFAULT_COUNT_BUDGET) -> 
 def _component_count(formula: Formula, memo: dict[str, int], remaining: list[int]) -> int:
     if isinstance(formula, Const):
         return 1 if formula.value else 0
+    if isinstance(formula, Var) or isinstance(formula, Not) and isinstance(formula.child, Var):
+        return 1
     remaining[0] -= 1
     if remaining[0] < 0:
         raise TooLarge("formula resists decomposition within the counting budget")
@@ -321,6 +347,14 @@ def _component_count(formula: Formula, memo: dict[str, int], remaining: list[int
                     break
             memo[key] = result
             return result
+
+    if isinstance(formula, Or) and _pairwise_contradictory(formula.children):
+        result = 0
+        for child in formula.children:
+            child_count = _component_count(child, memo, remaining)
+            result += child_count << (k - variable_mask(child).bit_count())
+        memo[key] = result
+        return result
 
     split_var = _most_frequent_variable(formula)
     slots = k - 1
@@ -348,6 +382,31 @@ def _disjoint_groups(children: tuple[Formula, ...]) -> list[list[Formula]]:
         kept.append((merged_mask, merged_children))
         groups = kept
     return [children_ for _, children_ in groups]
+
+
+def _unit_literals(formula: Formula) -> tuple[int, int]:
+    """Masks of the variables among the top-level conjuncts as positive and
+    as negated literals; a literal is its own only conjunct."""
+    positive = negative = 0
+    for conjunct in formula.children if isinstance(formula, And) else (formula,):
+        if isinstance(conjunct, Var):
+            positive |= 1 << conjunct.index
+        elif isinstance(conjunct, Not) and isinstance(conjunct.child, Var):
+            negative |= 1 << conjunct.child.index
+    return positive, negative
+
+
+def _pairwise_contradictory(children: tuple[Formula, ...]) -> bool:
+    """True when every two children hold some unit literal with opposite
+    signs, so no assignment satisfies two of them."""
+    seen: list[tuple[int, int]] = []
+    for child in children:
+        positive, negative = _unit_literals(child)
+        for other_positive, other_negative in seen:
+            if not (positive & other_negative or negative & other_positive):
+                return False
+        seen.append((positive, negative))
+    return True
 
 
 def _most_frequent_variable(formula: Formula) -> int:

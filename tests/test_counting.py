@@ -263,6 +263,23 @@ class TestCountViaEnumerator:
         with pytest.raises(OracleContractViolation):
             count_via_enumerator(parse("(x1 | x2) & (x2 | x3)"), lying)
 
+    @pytest.mark.parametrize(
+        "answer, message",
+        [
+            (["3"], "candidate of type str"),
+            ([None], "candidate of type NoneType"),
+            ([2.0], "candidate of type float"),
+            (5, "answered a value of type int, not list"),
+            ([4, -1], "candidate -1 is negative"),
+        ],
+        ids=["str", "none", "float", "bare-int", "negative"],
+    )
+    def test_malformed_answer(self, answer, message):
+        oracle = TwoEnumeratorOracle(lambda g: answer)
+        formula = parse("(x1 | x2) & (x2 | !x3) & x4")
+        with pytest.raises(OracleContractViolation, match=message):
+            count_via_enumerator(formula, oracle)
+
     def test_resolved_child_matches_neither_key(self):
         # For x1 & x2 the combined values 0 and 10 decode to the consistent
         # triples (0,0,0) and (2,2,0); the true child count 1 is not a key.

@@ -1,18 +1,28 @@
-import pytest
+from itertools import combinations
+from unittest import mock
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from selfred import oracles as oracles_module
+from selfred.counting import combine3, decode3
 from selfred.errors import InvalidBound, TooLarge
 from selfred.formula import (
     And,
     Const,
+    Not,
     Or,
     Var,
     brute_force_count,
     brute_force_sat,
     parse,
+    self_reduce,
     serialize,
     serialized_length,
+    variable_mask,
 )
-from selfred.generate import generate_corpus
+from selfred.generate import generate_corpus, generate_random
 from selfred.oracles import (
     NON_TALLY_TOKEN,
     PolynomialBound,
@@ -256,3 +266,161 @@ class TestExactModelCount:
         hard = generate_random(30, 120, seed=13)
         with pytest.raises(TooLarge):
             exact_model_count(hard, budget=3)
+
+
+def literals(indices) -> st.SearchStrategy:
+    return st.builds(
+        lambda index, negated: Not(Var(index)) if negated else Var(index),
+        st.sampled_from(indices),
+        st.booleans(),
+    )
+
+
+def bodies(indices=(5, 6, 7, 8)) -> st.SearchStrategy:
+    leaf = st.one_of(literals(indices), st.sampled_from([Const(True), Const(False)]))
+    return st.recursive(
+        leaf,
+        lambda inner: st.one_of(
+            st.builds(Not, inner),
+            st.lists(inner, min_size=2, max_size=3).map(lambda cs: And(*cs)),
+            st.lists(inner, min_size=2, max_size=3).map(lambda cs: Or(*cs)),
+        ),
+        max_leaves=5,
+    )
+
+
+@st.composite
+def exclusive_disjunctions(draw, selectors, extras) -> Or:
+    """A decision list over the selector variables: disjunct i holds !s_j for
+    every j < i and s_i (the last one only the negations), so any two
+    disjuncts contradict on a unit literal.  Each disjunct may add up to two
+    ``extras``, in any conjunct order."""
+    width = draw(st.integers(2, len(selectors) + 1))
+    disjuncts = []
+    for i in range(width):
+        conjuncts = [Not(Var(s)) for s in selectors[:i]]
+        if i < width - 1:
+            conjuncts.append(Var(selectors[i]))
+        conjuncts += draw(st.lists(extras, max_size=2))
+        conjuncts = draw(st.permutations(conjuncts))
+        disjuncts.append(conjuncts[0] if len(conjuncts) == 1 else And(*conjuncts))
+    return Or(*disjuncts)
+
+
+# Extras of a disjunct: a body, a constant, or a nested exclusive disjunction.
+FLAT_EXTRAS = st.one_of(bodies(), st.sampled_from([Const(True), Const(False)]))
+EXCLUSIVE = exclusive_disjunctions(
+    (1, 2, 3), st.one_of(FLAT_EXTRAS, exclusive_disjunctions((9, 10), FLAT_EXTRAS))
+)
+
+
+def structural_only():
+    """Lower the truth-table cutoff so that every rule of the counter runs on
+    small formulas."""
+    return mock.patch.object(oracles_module, "_BIT_PARALLEL_LIMIT", 0)
+
+
+class TestExclusiveDisjunctions:
+    @settings(max_examples=300, deadline=None)
+    @given(EXCLUSIVE)
+    def test_count_matches_brute_force(self, formula):
+        assert oracles_module._pairwise_contradictory(formula.children)
+        with structural_only():
+            assert exact_model_count(formula) == brute_force_count(formula)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.one_of(literals((1, 2, 3)), FLAT_EXTRAS), min_size=1, max_size=3),
+            min_size=2,
+            max_size=4,
+        )
+    )
+    def test_contradictory_children_never_share_a_model(self, conjunct_lists):
+        formula = Or(*(cs[0] if len(cs) == 1 else And(*cs) for cs in conjunct_lists))
+        if oracles_module._pairwise_contradictory(formula.children):
+            for a, b in combinations(formula.children, 2):
+                assert not brute_force_sat(And(a, b))
+        with structural_only():
+            assert exact_model_count(formula) == brute_force_count(formula)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(x1 & x2) | (x1 & x3)",
+            "x1 & x2 | !x1 & x3 | x1 & x4",
+            "(x1 | x2) & x3 | (!x1 | x4) & x5",
+            "x1 & x2 | !(x1 | x4) & x3",
+            "!(x1 & x2) | !x1 & x3",
+            "x1 | x2 & !x3",
+        ],
+    )
+    def test_look_alikes_are_not_exclusive(self, text):
+        formula = parse(text)
+        assert not oracles_module._pairwise_contradictory(formula.children)
+        with structural_only():
+            assert exact_model_count(formula) == brute_force_count(formula)
+
+    def test_literals_take_no_truth_table(self, monkeypatch):
+        tabulated = []
+        reference = oracles_module.brute_force_count
+
+        def recorded_table(formula, *args, **kwargs):
+            tabulated.append(serialize(formula))
+            return reference(formula, *args, **kwargs)
+
+        monkeypatch.setattr(oracles_module, "brute_force_count", recorded_table)
+        cube = And(*(Var(i) for i in range(2, 21)), *(Not(Var(i)) for i in range(21, 41)))
+        assert exact_model_count(cube) == 1
+        # x1 & cube | !x1 & cube over 40 variables: two exclusive cubes.
+        assert exact_model_count(Or(And(Var(1), cube), And(Not(Var(1)), cube))) == 2
+        assert tabulated == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.integers(0, 10**6))
+    def test_combined_formulas(self, n, seed):
+        formula = generate_random(n, 2 * n + 2, seed)
+        true_child, false_child, _ = self_reduce(formula)
+        assume(not isinstance(true_child, Const) and not isinstance(false_child, Const))
+        combined = combine3(formula, true_child, false_child).outer.combined
+        expected = brute_force_count(combined, limit=variable_mask(combined).bit_count())
+        assert exact_model_count(combined) == expected
+        with structural_only():
+            assert exact_model_count(combined) == expected
+
+    @pytest.mark.parametrize("n", range(14, 21))
+    def test_combined_formula_work_bound(self, n, monkeypatch):
+        # The 2-enumerator's query H = (F & z) | (!z & x1..xn & G & z') has
+        # 3n+2 or so variables, but its disjunctions are exclusive on the
+        # switch literals, so it costs about what its three operands cost
+        # counted alone.  The slack covers an operand that the conjoined
+        # fresh literals lift over the truth-table cutoff, which then splits
+        # into its components.  Shannon expansion of H exceeds this budget.
+        reference = oracles_module.brute_force_count
+        tables = [0]
+
+        def counted_table(*args, **kwargs):
+            tables[0] += 1
+            return reference(*args, **kwargs)
+
+        monkeypatch.setattr(oracles_module, "brute_force_count", counted_table)
+
+        def count_and_tables(formula, budget=oracles_module._DEFAULT_COUNT_BUDGET):
+            tables[0] = 0
+            return exact_model_count(formula, budget), tables[0]
+
+        for seed in range(5):
+            formula = generate_random(n, 2 * n + 2, seed)
+            true_child, false_child, _ = self_reduce(formula)
+            if isinstance(true_child, Const) or isinstance(false_child, Const):
+                continue
+            recipe = combine3(formula, true_child, false_child)
+            combined_count, combined_tables = count_and_tables(recipe.outer.combined, budget=64)
+            operand_counts, operand_tables = [], 0
+            for operand in (formula, true_child, false_child):
+                count, used = count_and_tables(operand)
+                assert count == reference(operand)
+                operand_counts.append(count)
+                operand_tables += used
+            assert decode3(recipe, combined_count) == (*operand_counts, True)
+            assert combined_tables <= operand_tables + 2

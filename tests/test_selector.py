@@ -45,6 +45,12 @@ class TestExamples:
         with pytest.raises(OracleContractViolation):
             decide_via_selector(parse("x1 & x2"), rogue)
 
+    @pytest.mark.parametrize("answer, kind", [(None, "NoneType"), ("x1", "str")])
+    def test_selector_answer_not_a_formula(self, answer, kind):
+        rogue = SelectorOracle(lambda a, b: answer)
+        with pytest.raises(OracleContractViolation, match=f"type {kind}, not a formula"):
+            decide_via_selector(parse("x1 & x2"), rogue)
+
 
 @pytest.fixture(scope="module")
 def corpus():
