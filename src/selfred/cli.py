@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable
 
 from .counting import count_via_enumerator, demonstrate_naive_failure
-from .errors import InvalidParams, SelfReducibilityError
+from .errors import FormulaSyntaxError, InvalidParams, SelfReducibilityError
 from .formula import (
     Formula,
     brute_force_count,
@@ -258,7 +258,10 @@ def _load_formulas(args: argparse.Namespace) -> list[Formula]:
         return [parse(args.inline)]
     if args.file is not None:
         path = Path(args.file)
-        text = path.read_text()
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormulaSyntaxError(f"{path} is not UTF-8 text", exc.start) from None
         if path.suffix in (".cnf", ".dimacs"):
             return [parse_dimacs(text)]
         return [parse(line) for line in text.splitlines() if line.strip()]

@@ -6,9 +6,11 @@ F(x1..xn) and G(y1..ym) and fresh z, z',
     H = (F & z) | (!z & x1 & ... & xn & G & z')
 
 has exactly ||F|| * 2^(m+1) + ||G|| models, so both operand counts can be
-read off one combined count by divmod.  Operands are always renamed into
-disjoint index ranges first (an input formula shares variables with its own
-children, so renaming is not optional).
+read off one combined count by divmod.  Operands are placed in disjoint
+index ranges first (an input formula shares variables with its own children,
+so renaming is not optional).  The children are renamed once, straight into
+their final range, and an operand whose variables already fill its range is
+used as it is.
 
 The counter combines a formula with its two split children, runs the
 enumerator once on the nested combination, and decodes each listed value
@@ -88,18 +90,24 @@ def _contiguous_renaming(formula: Formula, start: int) -> tuple[Formula, int]:
     return renamed, len(ordered)
 
 
-def combine(left: Formula, right: Formula) -> CombineRecipe:
-    """Pack two formulas into one whose count encodes both operand counts."""
+def combine(left: Formula, right: Formula, *, start: int = 1) -> CombineRecipe:
+    """Pack two formulas into one whose count encodes both operand counts.
+
+    The combined formula's variables are exactly start..start+n+m+1: the left
+    operand's n variables in order from ``start``, the right operand's m after
+    them, then the switch and guard.  An operand whose variables already form
+    its range is used as it is, not copied.
+    """
     if not variable_mask(left) or not variable_mask(right):
         raise ConstantOperand("combine requires operands with at least one variable")
-    renamed_left, n = _contiguous_renaming(left, 1)
-    renamed_right, m = _contiguous_renaming(right, n + 1)
-    switch, guard = n + m + 1, n + m + 2
+    renamed_left, n = _contiguous_renaming(left, start)
+    renamed_right, m = _contiguous_renaming(right, start + n)
+    switch, guard = start + n + m, start + n + m + 1
     combined = Or(
         And(renamed_left, Var(switch)),
         And(
             Not(Var(switch)),
-            *(Var(i) for i in range(1, n + 1)),
+            *(Var(i) for i in range(start, start + n)),
             renamed_right,
             Var(guard),
         ),
@@ -134,8 +142,18 @@ class Combine3Recipe:
 
 
 def combine3(formula: Formula, left_child: Formula, right_child: Formula) -> Combine3Recipe:
-    """Nested combination of a formula with its two non-constant children."""
-    inner = combine(left_child, right_child)
+    """Nested combination of a formula with its two non-constant children.
+
+    The children are combined straight into the range after the formula's n
+    variables (``start = n + 1``), so the inner recipe's ``renamed_*`` and
+    ``fresh_vars`` sit n above those of a combination from 1; its counts and
+    ``decode`` are the same.  The outer combination then keeps the inner
+    formula as it is, and the formula too when its variables are x1..xn, so
+    only the two children are copied.  The result is the same, node for node
+    and in its text, as the children combined from 1 and renamed up by n;
+    oracles that digest the text of their query rely on that.
+    """
+    inner = combine(left_child, right_child, start=variable_mask(formula).bit_count() + 1)
     outer = combine(formula, inner.combined)
     return Combine3Recipe(outer=outer, inner=inner)
 

@@ -434,7 +434,11 @@ def self_reduce(formula: Formula) -> tuple[Formula, Formula, int]:
 
 
 def rename_variables(formula: Formula, mapping: Mapping[int, int]) -> Formula:
-    """Rewrite variable indices through an injective mapping."""
+    """Rewrite variable indices through an injective mapping.
+
+    A mapping that sends every occurring variable to itself returns the input
+    object (trees are immutable, so nothing needs copying).
+    """
     occurring = variables(formula)
     missing = occurring - mapping.keys()
     if missing:
@@ -442,6 +446,8 @@ def rename_variables(formula: Formula, mapping: Mapping[int, int]) -> Formula:
     images = [mapping[i] for i in occurring]
     if len(set(images)) != len(images):
         raise ValueError("variable renaming must be injective")
+    if all(mapping[i] == i for i in occurring):
+        return formula
     return _map_vars(formula, {i: Var(mapping[i]) for i in occurring})
 
 

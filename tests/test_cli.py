@@ -145,6 +145,16 @@ class TestCommandLine:
         assert main(["decide", "tally", "--file", str(source)]) == 0
         assert "-> true" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", ["formulas.txt", "input.cnf"])
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys, name):
+        source = tmp_path / name
+        body = b"x1 & \xff\n" if name.endswith(".txt") else b"p cnf 1 1\n1 \xff 0\n"
+        source.write_bytes(body)
+        assert main(["decide", "tally", "--file", str(source)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not UTF-8" in err
+        assert f"(byte offset {body.index(0xFF)})" in err
+
     def test_demo_naive_failure(self, capsys):
         assert main(["demo", "naive-failure"]) == 0
         out = capsys.readouterr().out

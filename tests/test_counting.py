@@ -1,16 +1,27 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from selfred import formula as formula_module
 from selfred.errors import ConstantOperand, OracleContractViolation
 from selfred.formula import (
+    And,
     Const,
+    Not,
+    Or,
+    Var,
     brute_force_count,
     parse,
+    rename_variables,
+    self_reduce,
     serialize,
+    variable_mask,
     variables,
 )
-from selfred.generate import generate_corpus
-from selfred.oracles import TwoEnumeratorOracle, honest_two_enumerator
+from selfred.generate import generate_corpus, generate_random
+from selfred.oracles import TwoEnumeratorOracle, exact_model_count, honest_two_enumerator
 from selfred.counting import (
+    Combine3Recipe,
     GuessTriple,
     combine,
     combine3,
@@ -128,6 +139,113 @@ class TestCombine3:
             if checked >= 60:
                 break
         assert checked >= 30
+
+
+SMALL_FORMULAS = st.recursive(
+    st.one_of(
+        st.builds(Var, st.integers(1, 4)),
+        st.sampled_from([Const(True), Const(False)]),
+    ),
+    lambda inner: st.one_of(
+        st.builds(Not, inner),
+        st.lists(inner, min_size=2, max_size=3).map(lambda cs: And(*cs)),
+        st.lists(inner, min_size=2, max_size=3).map(lambda cs: Or(*cs)),
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def operand_triples(draw):
+    """Three formulas over x1..x4 moved onto four indices out of 1..12, so
+    that most draws leave gaps in the indices (say {2, 5, 9})."""
+    slots = sorted(draw(st.lists(st.integers(1, 12), min_size=4, max_size=4, unique=True)))
+    relabel = {i: slot for i, slot in enumerate(slots, start=1)}
+    return tuple(rename_variables(draw(SMALL_FORMULAS), relabel) for _ in range(3))
+
+
+def node_count(formula) -> int:
+    if isinstance(formula, Not):
+        return 1 + node_count(formula.child)
+    if isinstance(formula, (And, Or)):
+        return 1 + sum(node_count(c) for c in formula.children)
+    return 1
+
+
+class TestCombine3Layout:
+    """combine3 places the children straight into the range after the
+    formula's variables and copies nothing that is already in place."""
+
+    def test_formula_in_place_is_reused(self):
+        formula = parse("(x1 | x2) & (!x1 | x3)")
+        recipe = combine3(formula, parse("x3"), parse("x2"))
+        assert recipe.outer.renamed_left is formula
+        assert recipe.outer.renamed_right is recipe.inner.combined
+
+    def test_inner_recipe_sits_above_the_formula(self):
+        recipe = combine3(parse("(x1 | x2) & (!x1 | x3)"), parse("x3"), parse("x2"))
+        assert serialize(recipe.inner.renamed_left) == "x4"
+        assert serialize(recipe.inner.renamed_right) == "x5"
+        assert recipe.inner.fresh_vars == (6, 7)
+        assert (recipe.inner.left_var_count, recipe.inner.right_var_count) == (1, 1)
+
+    def test_formula_with_gaps_is_renamed(self):
+        formula = parse("x2 & (x5 | !x9)")
+        recipe = combine3(formula, parse("x5 | !x9"), parse("F | x9"))
+        assert recipe.outer.renamed_left == parse("x1 & (x2 | !x3)")
+        assert recipe.outer.renamed_right is recipe.inner.combined
+
+    def test_start_offsets_every_variable(self):
+        recipe = combine(parse("x3 & x5"), parse("x3 | x9"), start=10)
+        assert serialize(recipe.combined) == "x10 & x11 & x14 | !x14 & x10 & x11 & (x12 | x13) & x15"
+        assert recipe.fresh_vars == (14, 15)
+        assert variables(recipe.combined) == frozenset(range(10, 16))
+
+    @settings(max_examples=100, deadline=None)
+    @given(operand_triples())
+    def test_equals_the_two_step_construction(self, operands):
+        formula, left_child, right_child = operands
+        assume(all(variable_mask(f) for f in operands))
+        recipe = combine3(formula, left_child, right_child)
+        # The construction this replaces: combine the children from x1, then
+        # rename that whole combination again, up past the formula's range.
+        old_inner = combine(left_child, right_child)
+        old_outer = combine(formula, old_inner.combined)
+        assert recipe.outer == old_outer
+        assert serialize(recipe.outer.combined) == serialize(old_outer.combined)
+
+        n = len(variables(formula))
+        shift = {v: v + n for v in variables(old_inner.combined)}
+        assert recipe.inner.renamed_left == rename_variables(old_inner.renamed_left, shift)
+        assert recipe.inner.renamed_right == rename_variables(old_inner.renamed_right, shift)
+        assert recipe.inner.fresh_vars == tuple(v + n for v in old_inner.fresh_vars)
+        old = Combine3Recipe(outer=old_outer, inner=old_inner)
+        count = exact_model_count(recipe.outer.combined)
+        assert decode3(recipe, count) == decode3(old, count)
+
+    @pytest.mark.parametrize("n", range(14, 21))
+    def test_build_renames_only_the_children(self, n, monkeypatch):
+        # Every node visited by the variable mapper is a copied node: building
+        # the 2-enumerator's query copies each child once and nothing else.
+        visited = [0]
+        map_vars = formula_module._map_vars
+
+        def counted_map_vars(formula, mapping):
+            visited[0] += 1
+            return map_vars(formula, mapping)
+
+        monkeypatch.setattr(formula_module, "_map_vars", counted_map_vars)
+        checked = 0
+        for seed in range(5):
+            formula = generate_random(n, 2 * n + 2, seed)
+            true_child, false_child, _ = self_reduce(formula)
+            if isinstance(true_child, Const) or isinstance(false_child, Const):
+                continue
+            visited[0] = 0
+            combine3(formula, true_child, false_child)
+            assert visited[0] <= node_count(true_child) + node_count(false_child)
+            checked += 1
+        assert checked
 
 
 class TestLinkage:

@@ -401,6 +401,19 @@ class TestRename:
         with pytest.raises(ValueError):
             rename_variables(parse("x1 & x2"), {1: 3, 2: 3})
 
+    def test_identity_returns_the_input(self):
+        formula = parse("(x1 | x2) & !x4")
+        assert rename_variables(formula, {1: 1, 2: 2, 4: 4}) is formula
+        # Keys for variables that do not occur play no part.
+        assert rename_variables(formula, {1: 1, 2: 2, 3: 9, 4: 4}) is formula
+
+    def test_identity_checks_the_mapping_first(self):
+        formula = parse("x1 & x2")
+        with pytest.raises(UnknownVariable):
+            rename_variables(formula, {1: 1})
+        with pytest.raises(ValueError, match="injective"):
+            rename_variables(parse("x1 & x2 & x3"), {1: 1, 2: 2, 3: 2})
+
 
 class TestDimacs:
     def test_basic(self):
