@@ -259,12 +259,22 @@ def _load_formulas(args: argparse.Namespace) -> list[Formula]:
     if args.file is not None:
         path = Path(args.file)
         try:
-            text = path.read_text(encoding="utf-8")
+            text = path.read_bytes().decode("utf-8")  # newlines kept: offsets are the file's
         except UnicodeDecodeError as exc:
             raise FormulaSyntaxError(f"{path} is not UTF-8 text", exc.start) from None
         if path.suffix in (".cnf", ".dimacs"):
             return [parse_dimacs(text)]
-        return [parse(line) for line in text.splitlines() if line.strip()]
+        formulas, at = [], 0  # at: byte offset of the line in the file
+        lines = zip(text.splitlines(), text.splitlines(keepends=True))
+        for line_no, (line, whole) in enumerate(lines, start=1):
+            try:
+                if line.strip():
+                    formulas.append(parse(line))
+            except FormulaSyntaxError as exc:
+                message = f"{exc.message} on line {line_no}"
+                raise FormulaSyntaxError(message, at + exc.offset) from None
+            at += len(whole.encode())
+        return formulas
     params = {}
     for item in args.random:
         key, _, value = item.partition("=")

@@ -12,7 +12,7 @@ class FormulaSyntaxError(SelfReducibilityError):
 
     def __init__(self, message: str, offset: int) -> None:
         super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
+        self.message, self.offset = message, offset
 
 
 class UnknownVariable(SelfReducibilityError):

@@ -12,9 +12,11 @@ Canonical serialization uses the same grammar with minimal parentheses and
 single spaces around binary operators; chains of the same connective are
 flattened, so the encoded length of a formula is stable under simplification.
 
-Functions here are pure; each node caches its variable mask, canonical text
-and simplified mark, filled lazily and idempotently, so formulas stay safe to
-share across threads.
+Functions here are pure.  ``Not``/``And``/``Or`` nodes cache their variable
+mask, canonical text and simplified mark, set to sentinels at construction
+and filled in on first use, idempotently, so formulas stay safe to share
+across threads; a mask too wide to keep stays unset, and leaves cache
+nothing.  Walkers dispatch on exact classes: node subclasses are not formulas.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import functools
 import operator
 import os
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Mapping, Union
@@ -65,18 +68,26 @@ class Const(_Node):
     value: bool
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Var(_Node):
     index: int
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"variable index must be positive, got {self.index}")
+    def __init__(self, index: int) -> None:
+        if index < 1:
+            raise ValueError(f"variable index must be positive, got {index}")
+        _set_index(self, index)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Not(_Node):
     child: "Formula"
+
+    def __init__(self, child: "Formula") -> None:
+        _set_child(self, child)
+        _set_mask(self, None), _set_text(self, None), _set_simple(self, False)
+
+    def __reduce__(self):  # copies and pickles are built by __init__, caches unset
+        return Not, (self.child,)
 
 
 class _Connective(_Node):
@@ -89,10 +100,14 @@ class _Connective(_Node):
         kind = type(self)
         flat: list[Formula] = []
         for child in children:
-            flat.extend(child.children if isinstance(child, kind) else (child,))
+            flat.extend(child.children if type(child) is kind else (child,))
         if len(flat) < 2:
             raise ValueError(f"{kind.__name__} requires at least 2 children")
         object.__setattr__(self, "children", tuple(flat))
+        _set_mask(self, None), _set_text(self, None), _set_simple(self, False)
+
+    def __reduce__(self):
+        return type(self), self.children
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -105,6 +120,10 @@ class Or(_Connective):
     children: tuple["Formula", ...]
 
 
+# Slot setters that go around the frozen nodes' __setattr__.
+_set_mask, _set_text, _set_simple = _Node._mask.__set__, _Node._text.__set__, _Node._simple.__set__
+_set_index, _set_child = Var.index.__set__, Not.child.__set__
+
 Formula = Union[Const, Var, Not, And, Or]
 
 TRUE = Const(True)
@@ -115,25 +134,30 @@ Assignment = Mapping[int, bool]
 
 def variable_mask(formula: Formula) -> int:
     """Occurring variables as a bitmask: bit i is set iff x_i occurs."""
+    cls = type(formula)
+    if cls is Var:
+        return 1 << formula.index
+    if cls is Const:
+        return 0
     try:
-        return formula._mask
-    except AttributeError:
-        pass
-    match formula:
-        case Const():
-            mask = 0
-        case Var(index):
-            mask = 1 << index
-        case Not(child):
-            mask = variable_mask(child)
-        case And(children) | Or(children):
-            mask = 0
-            for child in children:
-                mask |= variable_mask(child)
-        case _:
-            raise TypeError(f"not a formula: {formula!r}")
+        mask = formula._mask
+    except AttributeError:  # a mask too wide to keep, or not a formula
+        mask = None
+    if mask is not None:
+        return mask
+    if cls is Not:
+        mask = variable_mask(formula.child)
+    elif cls is And or cls is Or:
+        mask = 0
+        for child in formula.children:
+            mask |= variable_mask(child)
+    else:
+        raise TypeError(f"not a formula: {formula!r}")
     if mask.bit_length() <= _CACHED_MASK_BITS:
-        object.__setattr__(formula, "_mask", mask)
+        _set_mask(formula, mask)
+    else:
+        with suppress(AttributeError):  # unset already, by this call or another
+            object.__delattr__(formula, "_mask")
     return mask
 
 
@@ -147,24 +171,26 @@ def serialize(formula: Formula) -> str:
     """Canonical text form of the formula.  Parentheses go only where the
     grammar needs them: around an ``Or`` under a connective or under ``!``,
     and around an ``And`` under ``!``."""
+    cls = type(formula)
+    if cls is Var:
+        return f"x{formula.index}"
+    if cls is Const:
+        return "T" if formula.value else "F"
     try:
-        return formula._text
-    except AttributeError:
-        pass
-    match formula:
-        case Const(value):
-            text = "T" if value else "F"
-        case Var(index):
-            text = f"x{index}"
-        case Not(child):
-            inner = serialize(child)
-            text = f"!({inner})" if isinstance(child, (And, Or)) else "!" + inner
-        case And(children) | Or(children):
-            parts = [f"({serialize(c)})" if isinstance(c, Or) else serialize(c) for c in children]
-            text = (" & " if isinstance(formula, And) else " | ").join(parts)
-        case _:
-            raise TypeError(f"not a formula: {formula!r}")
-    object.__setattr__(formula, "_text", text)
+        text = formula._text
+    except AttributeError:  # not a formula
+        text = None
+    if text is not None:
+        return text
+    if cls is Not:
+        inner = serialize(formula.child)
+        text = f"!({inner})" if isinstance(formula.child, _Connective) else "!" + inner
+    elif cls is And or cls is Or:
+        parts = [f"({serialize(c)})" if type(c) is Or else serialize(c) for c in formula.children]
+        text = (" & " if cls is And else " | ").join(parts)
+    else:
+        raise TypeError(f"not a formula: {formula!r}")
+    _set_text(formula, text)
     return text
 
 
@@ -357,49 +383,51 @@ def _simplify(formula: Formula, bit: int, value: Const) -> Formula:
     tree; marked subtrees without the variable are returned as they are."""
     if bit and not bit & variable_mask(formula):
         bit = 0
-    if isinstance(formula, (Const, Var)):
+    cls = type(formula)
+    if cls is Var or cls is Const:
         return value if bit else formula
-    if not bit and getattr(formula, "_simple", False):
+    if cls is not Not and cls is not And and cls is not Or:
+        raise TypeError(f"not a formula: {formula!r}")
+    if not bit and formula._simple:
         return formula
-    match formula:
-        case Not(child):
+    if cls is Not:
+        child = formula.child
+        inner = _simplify(child, bit, value)
+        if type(inner) is Const:
+            return FALSE if inner.value else TRUE
+        result = formula if inner is child else Not(inner)
+    else:
+        children = formula.children
+        absorbing = cls is Or  # False absorbs And, True absorbs Or
+        kept: list[Formula] = []
+        for child in children:
             inner = _simplify(child, bit, value)
-            if isinstance(inner, Const):
-                return FALSE if inner.value else TRUE
-            result = formula if inner is child else Not(inner)
-        case And(children) | Or(children):
-            absorbing = isinstance(formula, Or)  # False absorbs And, True absorbs Or
-            kept: list[Formula] = []
-            for child in children:
-                inner = _simplify(child, bit, value)
-                if isinstance(inner, Const):
-                    if inner.value == absorbing:
-                        return TRUE if absorbing else FALSE
-                    continue
-                kept.append(inner)
-            if not kept:
-                return FALSE if absorbing else TRUE
-            if len(kept) == 1:
-                return kept[0]
-            unchanged = len(kept) == len(children) and all(map(operator.is_, kept, children))
-            result = formula if unchanged else type(formula)(*kept)
-        case _:
-            raise TypeError(f"not a formula: {formula!r}")
-    object.__setattr__(result, "_simple", True)
+            if type(inner) is Const:
+                if inner.value == absorbing:
+                    return TRUE if absorbing else FALSE
+                continue
+            kept.append(inner)
+        if not kept:
+            return FALSE if absorbing else TRUE
+        if len(kept) == 1:
+            return kept[0]
+        unchanged = len(kept) == len(children) and all(map(operator.is_, kept, children))
+        result = formula if unchanged else cls(*kept)
+    _set_simple(result, True)
     return result
 
 
 def _map_vars(formula: Formula, mapping: Mapping[int, Formula]) -> Formula:
     """Replace each variable that ``mapping`` covers by its image."""
-    match formula:
-        case Const():
-            return formula
-        case Var(index):
-            return mapping.get(index, formula)
-        case Not(child):
-            return Not(_map_vars(child, mapping))
-        case And(children) | Or(children):
-            return type(formula)(*(_map_vars(c, mapping) for c in children))
+    cls = type(formula)
+    if cls is Var:
+        return mapping.get(formula.index, formula)
+    if cls is Not:
+        return Not(_map_vars(formula.child, mapping))
+    if cls is And or cls is Or:
+        return cls(*[_map_vars(c, mapping) for c in formula.children])
+    if cls is Const:
+        return formula
     raise TypeError(f"not a formula: {formula!r}")
 
 
@@ -460,17 +488,17 @@ def evaluate(formula: Formula, assignment: Assignment) -> bool:
 
 
 def _evaluate(formula: Formula, assignment: Assignment) -> bool:
-    match formula:
-        case Const(value):
-            return value
-        case Var(index):
-            return assignment[index]
-        case Not(child):
-            return not _evaluate(child, assignment)
-        case And(children):
-            return all(_evaluate(c, assignment) for c in children)
-        case Or(children):
-            return any(_evaluate(c, assignment) for c in children)
+    cls = type(formula)
+    if cls is Var:
+        return assignment[formula.index]
+    if cls is Not:
+        return not _evaluate(formula.child, assignment)
+    if cls is And:
+        return all(_evaluate(c, assignment) for c in formula.children)
+    if cls is Or:
+        return any(_evaluate(c, assignment) for c in formula.children)
+    if cls is Const:
+        return formula.value
     raise TypeError(f"not a formula: {formula!r}")
 
 
@@ -511,27 +539,27 @@ def _full_block_columns() -> tuple[int, ...]:
 
 
 def _truth_table(formula: Formula, masks: dict[int, int], full: int) -> int:
-    match formula:
-        case Const(value):
-            return full if value else 0
-        case Var(index):
-            return masks[index]
-        case Not(child):
-            return full ^ _truth_table(child, masks, full)
-        case And(children):
-            result = full
-            for child in children:
-                result &= _truth_table(child, masks, full)
-                if not result:
-                    break
-            return result
-        case Or(children):
-            result = 0
-            for child in children:
-                result |= _truth_table(child, masks, full)
-                if result == full:
-                    break
-            return result
+    cls = type(formula)
+    if cls is Var:
+        return masks[formula.index]
+    if cls is Not:
+        return full ^ _truth_table(formula.child, masks, full)
+    if cls is And:
+        result = full
+        for child in formula.children:
+            result &= _truth_table(child, masks, full)
+            if not result:
+                break
+        return result
+    if cls is Or:
+        result = 0
+        for child in formula.children:
+            result |= _truth_table(child, masks, full)
+            if result == full:
+                break
+        return result
+    if cls is Const:
+        return full if formula.value else 0
     raise TypeError(f"not a formula: {formula!r}")
 
 

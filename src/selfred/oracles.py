@@ -413,16 +413,14 @@ def _most_frequent_variable(formula: Formula) -> int:
     counts: dict[int, int] = {}
 
     def walk(node: Formula) -> None:
-        match node:
-            case Const():
-                return
-            case Var(index):
-                counts[index] = counts.get(index, 0) + 1
-            case Not(child):
+        cls = type(node)
+        if cls is Var:
+            counts[node.index] = counts.get(node.index, 0) + 1
+        elif cls is Not:
+            walk(node.child)
+        elif cls is And or cls is Or:
+            for child in node.children:
                 walk(child)
-            case And(children) | Or(children):
-                for child in children:
-                    walk(child)
 
     walk(formula)
     # Ties break toward the highest index: fresh variables sit above renamed

@@ -155,6 +155,30 @@ class TestCommandLine:
         assert err.startswith("error: ") and "not UTF-8" in err
         assert f"(byte offset {body.index(0xFF)})" in err
 
+    @pytest.mark.parametrize(
+        "first_line, offset",
+        [
+            ("x1 | x2\n", 12),
+            ("x1 |\u00a0x2\n", 13),  # the no-break space is one character but two bytes
+            ("x1 | x2\r\n", 13),  # "\r\n" is one line break of two bytes
+        ],
+    )
+    def test_file_syntax_error_names_line_and_file_offset(
+        self, tmp_path, capsys, first_line, offset
+    ):
+        source = tmp_path / "formulas.txt"
+        source.write_bytes((first_line + "x1 &\n").encode())
+        assert main(["decide", "tally", "--file", str(source)]) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and f"(byte offset {offset})" in err
+
+    def test_dimacs_syntax_error_offset_counts_crlf_bytes(self, tmp_path, capsys):
+        source = tmp_path / "input.cnf"
+        source.write_bytes(b"p cnf 2 1\r\n1 2 0\r\n1 x 0\r\n")
+        assert main(["decide", "tally", "--file", str(source)]) == 2
+        err = capsys.readouterr().err
+        assert "bad literal on line 3" in err and "(byte offset 20)" in err
+
     def test_demo_naive_failure(self, capsys):
         assert main(["demo", "naive-failure"]) == 0
         out = capsys.readouterr().out

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import functools
 import operator
+import pickle
 import random
 import sys
 import threading
@@ -700,6 +702,19 @@ class TestCachedKernel:
             assert [f.name for f in dataclasses.fields(node)] == list(type(node).__match_args__)
             assert not hasattr(node, "__dict__")  # slotted: the caches are slots
 
+    @pytest.mark.parametrize(
+        "duplicate", [copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))]
+    )
+    def test_copies_and_pickles_run_through_the_kernel(self, duplicate):
+        original = parse("!(x1 & x2) | x3 & !T")
+        serialize(original), variables(original), simplify(original)  # warm caches
+        twin = duplicate(original)
+        assert twin == original and hash(twin) == hash(original)
+        assert serialize(twin) == serialize(original)
+        assert variables(twin) == variables(original)
+        assert simplify(twin) == simplify(original)
+        assert substitute(twin, 1, False) == substitute(original, 1, False)
+
     def test_threads_sharing_formulas_fill_the_same_caches(self):
         # Caches are filled without a lock; a racing thread may only ever
         # store the value another thread would store.
@@ -732,3 +747,54 @@ class TestCachedKernel:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cache_misses_do_not_raise(self, seed):
+        # Every cache starts as a sentinel, so filling it is a test, not a
+        # caught AttributeError.
+        formula = generate_random(12, 26, seed)
+        raised = []
+
+        def tracer(frame, event, arg):
+            if event == "exception" and frame.f_code.co_filename == formula_module.__file__:
+                raised.append(frame.f_code.co_name)
+            return tracer
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            serialize(formula), variable_mask(formula), simplify(formula)
+            self_reduce(formula), brute_force_count(formula)
+        finally:
+            sys.settrace(previous)
+        assert raised == []
+
+
+class VarSubclass(Var):
+    __slots__ = ()
+
+
+# Walkers dispatch on exact node classes, so a subclass instance is no formula.
+NOT_FORMULAS = [
+    5, "x1", None, And(Var(1), 5), Not(None), VarSubclass(1), Or(VarSubclass(1), Var(2))
+]
+KERNEL_CALLS = {
+    "serialize": serialize,
+    "variables": variables,
+    "variable_mask": variable_mask,
+    "simplify": simplify,
+    "substitute": lambda f: substitute(f, 1, True),
+    "self_reduce": self_reduce,
+    "rename_variables": lambda f: rename_variables(f, {1: 2}),
+    "evaluate": lambda f: evaluate(f, {1: True}),
+    "brute_force_count": brute_force_count,
+    "brute_force_sat": brute_force_sat,
+}
+
+
+class TestNotAFormula:
+    @pytest.mark.parametrize("name", KERNEL_CALLS)
+    @pytest.mark.parametrize("value", NOT_FORMULAS, ids=repr)
+    def test_type_error_at_the_root_or_below(self, name, value):
+        with pytest.raises(TypeError, match="^not a formula"):
+            KERNEL_CALLS[name](value)
