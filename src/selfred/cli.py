@@ -2,7 +2,12 @@
 formulas, verify against brute force, and emit JSONL traces plus CSV
 summaries.
 
-Each algorithm is one entry of ``ALGORITHMS``.  Identical configurations
+Each algorithm is one entry of ``ALGORITHMS``.  ``run`` hands a generator of
+(record, trace rows) pairs to ``write_outputs``, which writes each formula's
+trace rows and summary line as the formula finishes, so a run holds one
+formula's rows at a time.  Both files are written beside their paths and
+replace them only when every formula has finished; a run that fails leaves
+the files it would have replaced as they were.  Identical configurations
 (flags and seeds) produce byte-identical trace and summary files; wall time
 is reported on the console only.
 """
@@ -10,13 +15,16 @@ is reported on the console only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
+import stat
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, TextIO
 
 from .counting import count_via_enumerator, demonstrate_naive_failure
 from .errors import FormulaSyntaxError, InvalidParams, SelfReducibilityError
@@ -85,7 +93,6 @@ class RunRecord:
     oracle_calls: int
     max_width: int | None
     wall_time: float
-    trace_rows: list[dict] = field(default_factory=list)
 
 
 def _path_result(verdict: bool, trace) -> tuple:
@@ -140,7 +147,8 @@ class Algorithm:
     make_oracle: Callable[[ExperimentConfig], object]
     # (config, oracle, formula) -> (result, oracle calls, max width, trace rows)
     solve: Callable[[ExperimentConfig, object, Formula], tuple]
-    reference: Callable[[Formula], bool | int]
+    # (formula, exhaustive-enumeration limit) -> brute-force answer
+    reference: Callable[[Formula, int], bool | int]
 
 
 # Entries call the deciders, the counter and the brute-force references through
@@ -150,39 +158,41 @@ ALGORITHMS = {
         SELECTOR_STYLES,
         lambda c: honest_selector() if c.oracle_style == "honest" else adversarial_selector(c.seed),
         lambda c, oracle, formula: _path_result(*decide_via_selector(formula, oracle)),
-        lambda formula: brute_force_sat(formula),
+        lambda formula, limit: brute_force_sat(formula, limit=limit),
     ),
     "tally": Algorithm(
         TALLY_STYLES,
         lambda c: simulated_tally_reduction(c.oracle_style),
         lambda c, oracle, formula: _level_result(*decide_via_tally(formula, oracle)),
-        lambda formula: brute_force_sat(formula),
+        lambda formula, limit: brute_force_sat(formula, limit=limit),
     ),
     "sparse": Algorithm(
         SPARSE_STYLES,
         lambda c: simulated_sparse_coreduction(c.oracle_style, seed=c.seed),
         lambda c, oracle, formula: _level_result(*decide_via_sparse(formula, oracle, c.mode)),
-        lambda formula: brute_force_sat(formula),
+        lambda formula, limit: brute_force_sat(formula, limit=limit),
     ),
     "enum_count": Algorithm(
         ENUMERATOR_STYLES,
         lambda c: honest_two_enumerator(c.oracle_style, seed=c.seed),
         lambda c, oracle, formula: _solve_count(formula, oracle),
-        lambda formula: brute_force_count(formula),
+        lambda formula, limit: brute_force_count(formula, limit=limit),
     ),
 }
 
 
-def _run_one(config: ExperimentConfig, oracle, formula_id: int, formula: Formula) -> RunRecord:
+def _run_one(
+    config: ExperimentConfig, oracle, formula_id: int, formula: Formula, limit: int | None
+) -> tuple[RunRecord, list[dict]]:
     algorithm = ALGORITHMS[config.algorithm]
     start = time.perf_counter()
     result, oracle_calls, max_width, trace_rows = algorithm.solve(config, oracle, formula)
     for row in trace_rows:
         row.update(formula_id=formula_id, algorithm=config.algorithm)
-    reference = algorithm.reference(formula) if config.verify else None
+    reference = algorithm.reference(formula, limit) if config.verify else None
     elapsed = time.perf_counter() - start
     agree = None if reference is None else result == reference
-    return RunRecord(
+    record = RunRecord(
         formula_id=formula_id,
         formula=serialize(formula),
         vars=variable_mask(formula).bit_count(),
@@ -195,8 +205,8 @@ def _run_one(config: ExperimentConfig, oracle, formula_id: int, formula: Formula
         oracle_calls=oracle_calls,
         max_width=max_width,
         wall_time=elapsed,
-        trace_rows=trace_rows,
     )
+    return record, trace_rows
 
 
 def _cell(value) -> str:
@@ -207,18 +217,83 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_outputs(records: list[RunRecord], config: ExperimentConfig) -> None:
-    if config.trace_path:
-        with open(config.trace_path, "w", newline="\n") as handle:
-            for record in records:
-                for row in record.trace_rows:
-                    handle.write(json.dumps(row, sort_keys=True) + "\n")
-    if config.summary_path:
-        with open(config.summary_path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(SUMMARY_COLUMNS)
-            for r in records:
-                writer.writerow([_cell(getattr(r, column)) for column in SUMMARY_COLUMNS])
+# One encoder for every trace row; its output is that of
+# json.dumps(row, sort_keys=True).
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _open_output(path: str, newline: str, opened: list) -> TextIO:
+    """Open a text file for what goes to ``path``, and record it in
+    ``opened`` as (handle, its name, the path it is to replace).
+
+    For a regular file, or a path not there yet, this is a new file beside
+    the file ``path`` names once symbolic links are followed; it gets the
+    mode a plain ``open`` would give it, 0o666 under the umask.  Anything
+    else, such as a device or a pipe (``/dev/stdout``), is opened and
+    written in place, and recorded with no name."""
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        handle = open(path, "w", newline=newline)
+        opened.append((handle, None, None))
+        return handle
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    while True:
+        temporary = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+        try:
+            fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
+        handle = os.fdopen(fd, "w", newline=newline)
+        opened.append((handle, temporary, target))
+        return handle
+
+
+def write_outputs(
+    results: Iterable[tuple[RunRecord, list[dict]]], config: ExperimentConfig
+) -> list[RunRecord]:
+    """Consume the (record, trace rows) pairs as they are produced, writing
+    each formula's rows and summary line as it arrives, and return the
+    records.
+
+    The trace and the summary go to new files beside their paths, which
+    replace the paths (trace first) only after every pair is written.  On
+    any exception the new files are deleted and the paths are left as they
+    were.  A path that is not a regular file is written in place."""
+    opened: list = []
+    try:
+        trace = summary = None
+        if config.trace_path:
+            trace = _open_output(config.trace_path, "\n", opened)
+        if config.summary_path:
+            handle = _open_output(config.summary_path, "", opened)
+            summary = csv.writer(handle, lineterminator="\n")
+            summary.writerow(SUMMARY_COLUMNS)
+        encode = _ROW_ENCODER.encode
+        records = []
+        for record, rows in results:
+            if trace is not None:
+                trace.writelines([encode(row) + "\n" for row in rows])
+            if summary is not None:
+                summary.writerow([_cell(getattr(record, column)) for column in SUMMARY_COLUMNS])
+            records.append(record)
+        for handle, _, _ in opened:
+            handle.close()
+        for _, temporary, target in opened:
+            if temporary is not None:
+                os.replace(temporary, target)
+    except BaseException:
+        for handle, temporary, _ in opened:
+            with contextlib.suppress(OSError):
+                handle.close()
+            if temporary is not None:
+                with contextlib.suppress(OSError):
+                    os.unlink(temporary)
+        raise
+    return records
 
 
 def run(config: ExperimentConfig) -> list[RunRecord]:
@@ -235,6 +310,7 @@ def run(config: ExperimentConfig) -> list[RunRecord]:
         )
     if config.mode not in SPARSE_MODES:
         raise InvalidParams(f"unknown sparse mode {config.mode!r}; choose from {SPARSE_MODES}")
+    limit = None  # read once per run, and passed to every reference
     if config.verify:
         limit = brute_force_limit()
         for formula in config.formulas:
@@ -246,11 +322,11 @@ def run(config: ExperimentConfig) -> list[RunRecord]:
                     f"SELFRED_BRUTE_LIMIT"
                 )
     oracle = algorithm.make_oracle(config)
-    records = []
-    for formula_id, formula in enumerate(config.formulas):
-        records.append(_run_one(config, oracle, formula_id, formula))
-    write_outputs(records, config)
-    return records
+    results = (
+        _run_one(config, oracle, formula_id, formula, limit)
+        for formula_id, formula in enumerate(config.formulas)
+    )
+    return write_outputs(results, config)
 
 
 def _load_formulas(args: argparse.Namespace) -> list[Formula]:

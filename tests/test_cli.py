@@ -1,11 +1,17 @@
+import dataclasses
 import json
+import os
+import stat
+import threading
+import tracemalloc
 
 import pytest
 
+from selfred import cli
 from selfred.cli import ExperimentConfig, main, run
 from selfred.errors import InvalidParams
-from selfred.formula import MAX_NESTING, And, Not, Or, parse
-from selfred.generate import generate_random
+from selfred.formula import BRUTE_FORCE_LIMIT_ENV, MAX_NESTING, And, Not, Or, parse, serialize
+from selfred.generate import generate_corpus, generate_random
 
 
 def read(path):
@@ -323,3 +329,197 @@ class TestDeepNesting:
     def test_far_too_deep_exits_2(self, capsys):
         assert main(["decide", "selector", "--inline", "!" * 3000 + "x1"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+def sparse_config(formulas, tmp_path, **overrides):
+    settings = dict(
+        algorithm="sparse",
+        formulas=formulas,
+        oracle_style="scatter",
+        mode="capped_continue",
+        trace_path=str(tmp_path / "t.jsonl"),
+        summary_path=str(tmp_path / "s.csv"),
+    )
+    settings.update(overrides)
+    return ExperimentConfig(**settings)
+
+
+def watch_solver(monkeypatch, algorithm, fail_at=0, error=None):
+    """Record the formulas ``algorithm``'s solver is called on, and make it
+    raise ``error`` on call number ``fail_at`` (from 1; 0 for never)."""
+    entry = cli.ALGORITHMS[algorithm]
+    seen = []
+
+    def solve(config, oracle, formula):
+        seen.append(formula)
+        if len(seen) == fail_at:
+            raise error
+        return entry.solve(config, oracle, formula)
+
+    monkeypatch.setitem(cli.ALGORITHMS, algorithm, dataclasses.replace(entry, solve=solve))
+    return seen
+
+
+class TestOutputFiles:
+    FORMULAS = [generate_random(4, 10, seed) for seed in range(6)]
+
+    @pytest.mark.parametrize("error", [RuntimeError("solver broke"), KeyboardInterrupt()])
+    @pytest.mark.parametrize("k", [1, 4, 6])
+    def test_failed_run_leaves_existing_files_and_no_temporary(self, tmp_path, monkeypatch, error, k):
+        trace, summary = tmp_path / "t.jsonl", tmp_path / "s.csv"
+        trace.write_bytes(b'{"old": "trace"}\n')
+        summary.write_bytes(b"old,summary\n")
+        watch_solver(monkeypatch, "sparse", k, error)
+        with pytest.raises(type(error)):
+            run(sparse_config(self.FORMULAS, tmp_path))
+        assert trace.read_bytes() == b'{"old": "trace"}\n'
+        assert summary.read_bytes() == b"old,summary\n"
+        assert sorted(os.listdir(tmp_path)) == ["s.csv", "t.jsonl"]
+
+    def test_failed_run_creates_no_file(self, tmp_path, monkeypatch):
+        watch_solver(monkeypatch, "sparse", 3, RuntimeError("solver broke"))
+        with pytest.raises(RuntimeError):
+            run(sparse_config(self.FORMULAS, tmp_path))
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_mode_is_that_of_a_plain_open(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            with open(tmp_path / "plain", "w"):
+                pass
+            run(sparse_config(self.FORMULAS, tmp_path))
+        finally:
+            os.umask(previous)
+        plain = stat.S_IMODE(os.stat(tmp_path / "plain").st_mode)
+        assert plain == 0o666 & ~umask
+        for name in ("t.jsonl", "s.csv"):
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == plain
+
+    def test_shared_path_holds_the_summary(self, tmp_path):
+        # As when the files were written one after the other: the summary,
+        # written last, is what the path holds.
+        shared = str(tmp_path / "both")
+        run(sparse_config(self.FORMULAS, tmp_path, trace_path=shared, summary_path=shared))
+        run(sparse_config(self.FORMULAS, tmp_path, trace_path=None))
+        assert (tmp_path / "both").read_bytes() == (tmp_path / "s.csv").read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["both", "s.csv"]
+
+    def test_symbolic_link_is_written_through(self, tmp_path):
+        (tmp_path / "real").mkdir()
+        target = tmp_path / "real" / "trace.jsonl"
+        target.write_text("old\n")
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(target)
+        run(sparse_config(self.FORMULAS, tmp_path, trace_path=str(link)))
+        run(sparse_config(self.FORMULAS, tmp_path))
+        assert link.is_symlink()
+        assert target.read_bytes() == (tmp_path / "t.jsonl").read_bytes()
+        assert os.listdir(tmp_path / "real") == ["trace.jsonl"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_written_in_place(self, tmp_path):
+        # A path that is no regular file, such as /dev/stdout, is written
+        # as it is, not replaced by a file.
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+        run(sparse_config(self.FORMULAS, tmp_path, trace_path=str(pipe)))
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+        run(sparse_config(self.FORMULAS, tmp_path))
+        assert received == [(tmp_path / "t.jsonl").read_bytes()]
+
+    def test_directory_path_fails_before_solving(self, tmp_path, monkeypatch):
+        seen = watch_solver(monkeypatch, "sparse")
+        with pytest.raises(IsADirectoryError):
+            run(sparse_config(self.FORMULAS, tmp_path, summary_path=str(tmp_path)))
+        assert seen == []
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("flag", ["--trace", "--summary"])
+    def test_missing_directory_fails_before_solving(self, tmp_path, monkeypatch, capsys, flag):
+        seen = watch_solver(monkeypatch, "tally")
+        target = str(tmp_path / "missing" / "out")
+        argv = ["decide", "tally", "--random", "vars=4", "count=3", flag, target]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert seen == []
+        assert os.listdir(tmp_path) == []
+
+
+class CountingEnviron(dict):
+    """A copy of the environment that counts reads of one variable."""
+
+    def __init__(self, environ, key):
+        super().__init__(environ)
+        self.key = key
+        self.reads = 0
+
+    def get(self, key, default=None):
+        self.reads += key == self.key
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += key == self.key
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.reads += key == self.key
+        return super().__contains__(key)
+
+
+class TestVerificationLimit:
+    @pytest.mark.parametrize("algorithm, style", [("selector", "honest"), ("enum_count", "woeginger")])
+    @pytest.mark.parametrize("count", [1, 25])
+    def test_limit_read_once_per_run(self, monkeypatch, algorithm, style, count):
+        environ = CountingEnviron(os.environ, BRUTE_FORCE_LIMIT_ENV)
+        monkeypatch.setattr(os, "environ", environ)
+        formulas = [generate_random(5, 12, seed) for seed in range(count)]
+        records = run(ExperimentConfig(algorithm=algorithm, formulas=formulas, oracle_style=style))
+        assert all(r.agree for r in records)
+        assert environ.reads == 1
+
+    def test_limit_reaches_the_reference(self, monkeypatch):
+        # The limit run() read is the one verification uses: a reference
+        # that read the environment itself would see the later value.
+        monkeypatch.setenv(BRUTE_FORCE_LIMIT_ENV, "5")
+        limits = []
+        entry = cli.ALGORITHMS["selector"]
+
+        def reference(formula, limit):
+            limits.append(limit)
+            os.environ[BRUTE_FORCE_LIMIT_ENV] = "1"
+            return entry.reference(formula, limit)
+
+        monkeypatch.setitem(cli.ALGORITHMS, "selector", dataclasses.replace(entry, reference=reference))
+        formulas = [generate_random(4, 10, seed) for seed in range(3)]
+        records = run(ExperimentConfig(algorithm="selector", formulas=formulas, oracle_style="honest"))
+        assert limits == [5, 5, 5]
+        assert all(r.agree for r in records)
+
+
+class TestMemory:
+    def peak_and_trace_bytes(self, tmp_path, count):
+        formulas = generate_corpus(count, 6, seed=1)
+        for formula in formulas:  # fill the inputs' own text caches first
+            serialize(formula)
+        config = sparse_config(formulas, tmp_path, verify=False, summary_path=None)
+        tracemalloc.start()
+        try:
+            run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, os.path.getsize(config.trace_path)
+
+    def test_peak_grows_less_than_the_trace(self, tmp_path):
+        # Holding every trace row until the end made the peak grow about
+        # 2.6 times as fast as the trace; streamed, it grows about half as fast.
+        small_peak, small_trace = self.peak_and_trace_bytes(tmp_path, 2_000)
+        large_peak, large_trace = self.peak_and_trace_bytes(tmp_path, 4_000)
+        assert large_trace > small_trace
+        assert large_peak - small_peak < large_trace - small_trace
