@@ -485,28 +485,35 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "demo":
-            return _demo_naive_failure()
-        if args.command == "gen":
-            return _run_gen(args)
-        algorithm = "enum_count" if args.command == "count" else args.algorithm
-        config = ExperimentConfig(
-            algorithm=algorithm,
-            formulas=_load_formulas(args),
-            oracle_style=args.oracle or ALGORITHMS[algorithm].styles[0],
-            seed=args.seed,
-            mode=getattr(args, "mode", "early_accept"),
-            verify=args.verify,
-            trace_path=args.trace,
-            summary_path=args.summary,
-        )
-        records = run(config)
+            status = _demo_naive_failure()
+        elif args.command == "gen":
+            status = _run_gen(args)
+        else:
+            algorithm = "enum_count" if args.command == "count" else args.algorithm
+            config = ExperimentConfig(
+                algorithm=algorithm,
+                formulas=_load_formulas(args),
+                oracle_style=args.oracle or ALGORITHMS[algorithm].styles[0],
+                seed=args.seed,
+                mode=getattr(args, "mode", "early_accept"),
+                verify=args.verify,
+                trace_path=args.trace,
+                summary_path=args.summary,
+            )
+            records = run(config)
+            _print_records(records)
+            status = 1 if any(r.agree is False for r in records) else 0
+        sys.stdout.flush()  # so that a reader gone early shows here, not at exit
+    except BrokenPipeError:
+        # Point stdout at os.devnull: what is left in its buffer is flushed
+        # at exit, and would fail on the closed pipe once more.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 2
     except (SelfReducibilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _print_records(records)
-    if any(r.agree is False for r in records):
-        return 1
-    return 0
+    return status
 
 
 if __name__ == "__main__":

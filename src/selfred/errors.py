@@ -31,8 +31,9 @@ class TooLarge(SelfReducibilityError):
     """The formula exceeds the exhaustive-enumeration limit or the counting budget."""
 
 
-class MalformedInput(SelfReducibilityError):
-    """The decider was handed something that is not a formula."""
+class MalformedInput(SelfReducibilityError, TypeError):
+    """A value that is not a formula (a node subclass instance included)
+    reached a function that takes one, at the root or below."""
 
 
 class InvalidBound(SelfReducibilityError):

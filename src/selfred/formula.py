@@ -16,7 +16,8 @@ Functions here are pure.  ``Not``/``And``/``Or`` nodes cache their variable
 mask, canonical text and simplified mark, set to sentinels at construction
 and filled in on first use, idempotently, so formulas stay safe to share
 across threads; a mask too wide to keep stays unset, and leaves cache
-nothing.  Walkers dispatch on exact classes: node subclasses are not formulas.
+nothing.  Only this module walks whole trees.  Walkers dispatch on exact
+classes and raise ``MalformedInput`` for the rest, node subclasses included.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .errors import (
     FormulaSyntaxError,
     IncompleteAssignment,
     InvalidParams,
+    MalformedInput,
     NoVariables,
     TooLarge,
     UnknownVariable,
@@ -132,6 +134,10 @@ FALSE = Const(False)
 Assignment = Mapping[int, bool]
 
 
+def _not_a_formula(value: object) -> MalformedInput:  # what every walker raises
+    return MalformedInput(f"not a formula: {value!r}")
+
+
 def variable_mask(formula: Formula) -> int:
     """Occurring variables as a bitmask: bit i is set iff x_i occurs."""
     cls = type(formula)
@@ -152,7 +158,7 @@ def variable_mask(formula: Formula) -> int:
         for child in formula.children:
             mask |= variable_mask(child)
     else:
-        raise TypeError(f"not a formula: {formula!r}")
+        raise _not_a_formula(formula)
     if mask.bit_length() <= _CACHED_MASK_BITS:
         _set_mask(formula, mask)
     else:
@@ -189,7 +195,7 @@ def serialize(formula: Formula) -> str:
         parts = [f"({serialize(c)})" if type(c) is Or else serialize(c) for c in formula.children]
         text = (" & " if cls is And else " | ").join(parts)
     else:
-        raise TypeError(f"not a formula: {formula!r}")
+        raise _not_a_formula(formula)
     _set_text(formula, text)
     return text
 
@@ -387,7 +393,7 @@ def _simplify(formula: Formula, bit: int, value: Const) -> Formula:
     if cls is Var or cls is Const:
         return value if bit else formula
     if cls is not Not and cls is not And and cls is not Or:
-        raise TypeError(f"not a formula: {formula!r}")
+        raise _not_a_formula(formula)
     if not bit and formula._simple:
         return formula
     if cls is Not:
@@ -428,7 +434,7 @@ def _map_vars(formula: Formula, mapping: Mapping[int, Formula]) -> Formula:
         return cls(*[_map_vars(c, mapping) for c in formula.children])
     if cls is Const:
         return formula
-    raise TypeError(f"not a formula: {formula!r}")
+    raise _not_a_formula(formula)
 
 
 def substitute(formula: Formula, index: int, value: bool) -> Formula:
@@ -499,7 +505,7 @@ def _evaluate(formula: Formula, assignment: Assignment) -> bool:
         return any(_evaluate(c, assignment) for c in formula.children)
     if cls is Const:
         return formula.value
-    raise TypeError(f"not a formula: {formula!r}")
+    raise _not_a_formula(formula)
 
 
 def all_assignments(indices: frozenset[int] | set[int]) -> Iterator[dict[int, bool]]:
@@ -560,7 +566,7 @@ def _truth_table(formula: Formula, masks: dict[int, int], full: int) -> int:
         return result
     if cls is Const:
         return full if formula.value else 0
-    raise TypeError(f"not a formula: {formula!r}")
+    raise _not_a_formula(formula)
 
 
 def _model_count(formula: Formula, limit: int | None, stop_at_model: bool) -> int:

@@ -11,15 +11,18 @@ memos, so confine instances to one thread (results never depend on
 interleaving; the counter is not atomic).
 
 Answers of the wrong type raise ``OracleContractViolation``: a selector
-choice that is not a formula, an enumerator answer that is not a list of
-non-negative ints, an image that is not a string.
+choice not of the kernel's exact node classes, an enumerator answer that is
+not a list of non-negative ints, an image that is not a string.  Nothing here
+walks a whole tree: the counter finds its split variable in its memo key text.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, get_args
 
 from .errors import InvalidBound, OracleContractViolation, TooLarge
 from .formula import (
@@ -36,6 +39,7 @@ from .formula import (
 )
 
 NON_TALLY_TOKEN = "1"
+_NODE_CLASSES = get_args(Formula)  # a selector's answer has one of them exactly
 
 TALLY_STYLES = ("canonical", "collision_rich", "spread")
 SPARSE_STYLES = ("singleton", "scatter")
@@ -95,7 +99,7 @@ class SelectorOracle(_CountedOracle):
 
     def choose(self, a: Formula, b: Formula) -> Formula:
         choice = self._ask(a, b)
-        if not isinstance(choice, (Const, Var, Not, And, Or)):
+        if type(choice) not in _NODE_CLASSES:
             kind = type(choice).__name__
             raise OracleContractViolation(f"selector chose a value of type {kind}, not a formula")
         return choice
@@ -309,6 +313,7 @@ def honest_two_enumerator(style: str, seed: int = 0) -> TwoEnumeratorOracle:
 # table.
 _BIT_PARALLEL_LIMIT = 18
 _DEFAULT_COUNT_BUDGET = 50_000
+_INDEX = re.compile(r"x(\d+)")
 
 
 def exact_model_count(formula: Formula, budget: int = _DEFAULT_COUNT_BUDGET) -> int:
@@ -356,7 +361,7 @@ def _component_count(formula: Formula, memo: dict[str, int], remaining: list[int
         memo[key] = result
         return result
 
-    split_var = _most_frequent_variable(formula)
+    split_var = _most_frequent_variable(key)
     slots = k - 1
     result = 0
     for value in (True, False):
@@ -369,18 +374,21 @@ def _component_count(formula: Formula, memo: dict[str, int], remaining: list[int
 
 def _disjoint_groups(children: tuple[Formula, ...]) -> list[list[Formula]]:
     groups: list[tuple[int, list[Formula]]] = []
+    union = 0  # of every group's mask
     for child in children:
         child_mask = variable_mask(child)
         merged_mask, merged_children = child_mask, [child]
-        kept = []
-        for group_mask, group_children in groups:
-            if group_mask & child_mask:
-                merged_mask |= group_mask
-                merged_children = group_children + merged_children
-            else:
-                kept.append((group_mask, group_children))
-        kept.append((merged_mask, merged_children))
-        groups = kept
+        if child_mask & union:  # rebuild the list only when the child meets a group
+            kept = []
+            for group_mask, group_children in groups:
+                if group_mask & child_mask:
+                    merged_mask |= group_mask
+                    merged_children = group_children + merged_children
+                else:
+                    kept.append((group_mask, group_children))
+            groups = kept
+        groups.append((merged_mask, merged_children))
+        union |= child_mask
     return [children_ for _, children_ in groups]
 
 
@@ -409,20 +417,9 @@ def _pairwise_contradictory(children: tuple[Formula, ...]) -> bool:
     return True
 
 
-def _most_frequent_variable(formula: Formula) -> int:
-    counts: dict[int, int] = {}
-
-    def walk(node: Formula) -> None:
-        cls = type(node)
-        if cls is Var:
-            counts[node.index] = counts.get(node.index, 0) + 1
-        elif cls is Not:
-            walk(node.child)
-        elif cls is And or cls is Or:
-            for child in node.children:
-                walk(child)
-
-    walk(formula)
+def _most_frequent_variable(text: str) -> int:
+    """The variable with the most occurrences in a formula's canonical text."""
+    counts = Counter(map(int, _INDEX.findall(text)))
     # Ties break toward the highest index: fresh variables sit above renamed
     # operand ranges, and splitting them decomposes combined formulas.
     return max(counts, key=lambda index: (counts[index], index))

@@ -13,20 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MalformedInput, OracleContractViolation
-from .formula import (
-    And,
-    Const,
-    Formula,
-    Not,
-    Or,
-    Var,
-    serialize,
-    simplify,
-    substitute,
-    variable_mask,
-    variables,
-)
+from .errors import OracleContractViolation
+from .formula import Const, Formula, self_reduce, serialize, simplify, variable_mask, variables
 from .oracles import SelectorOracle
 
 
@@ -52,8 +40,6 @@ def decide_via_selector(
     formula: Formula, selector: SelectorOracle
 ) -> tuple[bool, PathTrace]:
     """Decide satisfiability with exactly one selector call per variable."""
-    if not isinstance(formula, (Const, Var, Not, And, Or)):
-        raise MalformedInput(f"not a formula: {formula!r}")
     current = simplify(formula)
     if isinstance(current, Const):
         return current.value, PathTrace(steps=(), final_value=current.value, oracle_calls=0)
@@ -61,9 +47,8 @@ def decide_via_selector(
     steps: list[PathStep] = []
     calls_before = selector.call_counter
     for split_var in sorted(variables(current)):  # fixed walk order over the input's variables
-        if variable_mask(current) >> split_var & 1:
-            true_child = substitute(current, split_var, True)
-            false_child = substitute(current, split_var, False)
+        if variable_mask(current) >> split_var & 1:  # then it is the least one left
+            true_child, false_child, _ = self_reduce(current)
         else:
             true_child = false_child = current
         chosen = selector.choose(true_child, false_child)

@@ -2,8 +2,11 @@ import dataclasses
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -288,6 +291,33 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "count" in captured.err
+
+
+class TestBrokenPipe:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decide", "selector", "--random", "vars=4", "count=3000"],
+            ["gen", "--vars", "30", "--count", "3000"],
+        ],
+        ids=["records", "gen"],
+    )
+    def test_reader_gone_after_one_line(self, argv):
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered on a pipe, as by default
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "selfred.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert process.stdout.readline()
+        process.stdout.close()
+        _, err = process.communicate(timeout=120)
+        assert process.returncode == 2
+        assert b"Traceback" not in err and b"Exception ignored" not in err
 
 
 def nested_at(levels: int) -> str:

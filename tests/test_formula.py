@@ -11,10 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selfred.counting import combine, count_via_enumerator
 from selfred.errors import (
     FormulaSyntaxError,
     IncompleteAssignment,
+    MalformedInput,
     NoVariables,
+    SelfReducibilityError,
     TooLarge,
     UnknownVariable,
 )
@@ -43,6 +46,15 @@ from selfred.formula import (
     variables,
 )
 from selfred.generate import generate_random
+from selfred.oracles import (
+    exact_model_count,
+    honest_selector,
+    honest_two_enumerator,
+    simulated_sparse_coreduction,
+    simulated_tally_reduction,
+)
+from selfred.pruning import decide_via_sparse, decide_via_tally
+from selfred.selector import decide_via_selector
 
 
 def formulas(max_vars: int = 4, max_leaves: int = 8) -> st.SearchStrategy:
@@ -798,3 +810,27 @@ class TestNotAFormula:
     def test_type_error_at_the_root_or_below(self, name, value):
         with pytest.raises(TypeError, match="^not a formula"):
             KERNEL_CALLS[name](value)
+
+
+# Every public function that takes a formula: the kernel's, the deciders', the
+# counter's and the combiner's (each operand).
+ENTRY_POINTS = {
+    **KERNEL_CALLS,
+    "decide_via_selector": lambda f: decide_via_selector(f, honest_selector()),
+    "decide_via_tally": lambda f: decide_via_tally(f, simulated_tally_reduction("canonical")),
+    "decide_via_sparse": lambda f: decide_via_sparse(f, simulated_sparse_coreduction("singleton")),
+    "count_via_enumerator": lambda f: count_via_enumerator(f, honest_two_enumerator("woeginger")),
+    "exact_model_count": exact_model_count,
+    "combine_left": lambda f: combine(f, Var(1)),
+    "combine_right": lambda f: combine(Var(1), f),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize("value", NOT_FORMULAS, ids=repr)
+    def test_one_typed_error_from_every_entry_point(self, name, value):
+        with pytest.raises(MalformedInput, match="^not a formula") as caught:
+            ENTRY_POINTS[name](value)
+        assert isinstance(caught.value, SelfReducibilityError)
+        assert isinstance(caught.value, TypeError)

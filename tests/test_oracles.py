@@ -1,3 +1,6 @@
+import operator
+import time
+from collections import Counter
 from itertools import combinations
 from unittest import mock
 
@@ -424,3 +427,78 @@ class TestExclusiveDisjunctions:
                 operand_tables += used
             assert decode3(recipe, combined_count) == (*operand_counts, True)
             assert combined_tables <= operand_tables + 2
+
+
+def disjoint_groups_by_rebuild(children):
+    """The component split as it was first written: the list of groups is
+    rebuilt for every conjunct, quadratic in the conjuncts."""
+    groups = []
+    for child in children:
+        child_mask = variable_mask(child)
+        merged_mask, merged_children = child_mask, [child]
+        kept = []
+        for group_mask, group_children in groups:
+            if group_mask & child_mask:
+                merged_mask |= group_mask
+                merged_children = group_children + merged_children
+            else:
+                kept.append((group_mask, group_children))
+        kept.append((merged_mask, merged_children))
+        groups = kept
+    return [children_ for _, children_ in groups]
+
+
+def most_frequent_by_walk(formula) -> int:
+    """Most frequent variable counted on the tree, ties to the highest index."""
+    counts = Counter()
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        if type(node) is Var:
+            counts[node.index] += 1
+        elif type(node) is Not:
+            stack.append(node.child)
+        elif type(node) in (And, Or):
+            stack.extend(node.children)
+    return max(counts, key=lambda index: (counts[index], index))
+
+
+class TestComponentSplit:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(bodies(indices=(1, 2, 3, 4, 5, 6)), max_size=8))
+    def test_same_groups_as_the_rebuilding_split(self, children):
+        groups = oracles_module._disjoint_groups(tuple(children))
+        expected = disjoint_groups_by_rebuild(children)
+        assert groups == expected
+        assert all(map(operator.is_, sum(groups, []), sum(expected, [])))
+
+    def test_many_disjoint_literals_in_linear_time(self):
+        cube = And(*[Var(i) if i % 2 else Not(Var(i)) for i in range(1, 5001)])
+        start = time.perf_counter()
+        assert exact_model_count(cube) == 1
+        assert time.perf_counter() - start < 1
+
+
+class TestMostFrequentVariable:
+    def check(self, formula):
+        text = serialize(formula)
+        assert oracles_module._most_frequent_variable(text) == most_frequent_by_walk(formula)
+
+    def test_random_formulas(self):
+        for n in (3, 9, 12, 25):
+            for seed in range(10):
+                self.check(generate_random(n, 2 * n + 2, seed))
+
+    def test_combined_queries(self):
+        for seed in range(10):
+            formula = generate_random(12, 26, seed)
+            true_child, false_child, _ = self_reduce(formula)
+            if isinstance(true_child, Const) or isinstance(false_child, Const):
+                continue
+            self.check(combine3(formula, true_child, false_child).outer.combined)
+
+    @settings(max_examples=300, deadline=None)
+    @given(bodies(indices=(1, 2, 12, 21, 121, 211)))
+    def test_unsimplified_formulas_with_long_indices(self, formula):
+        assume(variable_mask(formula))
+        self.check(formula)

@@ -3,6 +3,7 @@ import pytest
 from selfred.errors import MalformedInput, OracleContractViolation
 from selfred.formula import (
     Const,
+    Var,
     brute_force_sat,
     evaluate,
     parse,
@@ -43,6 +44,14 @@ class TestExamples:
     def test_rogue_selector(self):
         rogue = SelectorOracle(lambda a, b: parse("x99"))
         with pytest.raises(OracleContractViolation):
+            decide_via_selector(parse("x1 & x2"), rogue)
+
+    def test_selector_answer_of_a_node_subclass(self):
+        class VarSubclass(Var):
+            __slots__ = ()
+
+        rogue = SelectorOracle(lambda a, b: VarSubclass(1))
+        with pytest.raises(OracleContractViolation, match="type VarSubclass, not a formula"):
             decide_via_selector(parse("x1 & x2"), rogue)
 
     @pytest.mark.parametrize("answer, kind", [(None, "NoneType"), ("x1", "str")])
