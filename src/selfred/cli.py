@@ -473,11 +473,12 @@ def _demo_naive_failure() -> int:
 
 def _run_gen(args: argparse.Namespace) -> int:
     formulas = _random_batch(args.vars, args.count, args.seed, args.budget)
-    text = "\n".join(serialize(formula) for formula in formulas) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    # One write per formula: under unbuffered stdout a single large write to a
+    # pipe whose reader is gone can end short, and text I/O drops the rest
+    # silently, where the next small write raises BrokenPipeError.
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        for formula in formulas:
+            out.write(serialize(formula) + "\n")
     return 0
 
 

@@ -10,10 +10,11 @@ only mutable state is the call counter and the style-internal image/count
 memos, so confine instances to one thread (results never depend on
 interleaving; the counter is not atomic).
 
-Answers of the wrong type raise ``OracleContractViolation``: a selector
-choice not of the kernel's exact node classes, an enumerator answer that is
-not a list of non-negative ints, an image that is not a string.  Nothing here
-walks a whole tree: the counter finds its split variable in its memo key text.
+Answers that break a contract's form raise ``OracleContractViolation``: a
+selector choice that is not one of its two arguments (by canonical text), an
+enumerator answer that is not a list of at most two non-negative ints, an
+image that is not a string.  Nothing here walks a whole tree: the counter
+finds its split variable in its memo key text.
 """
 
 from __future__ import annotations
@@ -92,25 +93,29 @@ class _CountedOracle:
 
 class SelectorOracle(_CountedOracle):
     """Always returns one of its two arguments; returns a satisfiable one
-    whenever either argument is satisfiable."""
+    whenever either argument is satisfiable.
 
-    def __init__(self, choose_fn: Callable[[Formula, Formula], Formula]) -> None:
-        super().__init__(choose_fn)
+    ``choose`` returns the argument object itself, ``a`` first when both
+    have the answer's text, so a caller can tell the branch by identity."""
 
     def choose(self, a: Formula, b: Formula) -> Formula:
         choice = self._ask(a, b)
         if type(choice) not in _NODE_CLASSES:
             kind = type(choice).__name__
             raise OracleContractViolation(f"selector chose a value of type {kind}, not a formula")
-        return choice
+        text = serialize(choice)
+        if text == serialize(a):
+            return a
+        if text == serialize(b):
+            return b
+        raise OracleContractViolation(
+            "selector returned a formula that is neither of its arguments"
+        )
 
 
 class TallyReductionOracle(_CountedOracle):
     """Many-one reduction into a tally set: F is satisfiable iff the image is
     a member of the oracle's internal tally set."""
-
-    def __init__(self, map_fn: Callable[[Formula], str]) -> None:
-        super().__init__(map_fn)
 
     def map(self, formula: Formula) -> str:
         return self._image(formula)
@@ -137,9 +142,6 @@ class SparseCoReductionOracle(_CountedOracle):
 class TwoEnumeratorOracle(_CountedOracle):
     """Outputs a list of one or two non-negative int candidate model counts;
     the true count is always in the list."""
-
-    def __init__(self, enumerate_fn: Callable[[Formula], list[int]]) -> None:
-        super().__init__(enumerate_fn)
 
     def enumerate(self, formula: Formula) -> list[int]:
         values = self._ask(formula)

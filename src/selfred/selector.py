@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import OracleContractViolation
 from .formula import Const, Formula, self_reduce, serialize, simplify, variable_mask, variables
 from .oracles import SelectorOracle
 
@@ -51,19 +50,8 @@ def decide_via_selector(
             true_child, false_child, _ = self_reduce(current)
         else:
             true_child = false_child = current
-        chosen = selector.choose(true_child, false_child)
-        chosen_text = serialize(chosen)
-        if chosen_text == serialize(true_child):
-            branch = True
-            current = true_child
-        elif chosen_text == serialize(false_child):
-            branch = False
-            current = false_child
-        else:
-            raise OracleContractViolation(
-                "selector returned a formula that is neither of its arguments"
-            )
-        steps.append(PathStep(split_var, branch, chosen_text))
+        current = selector.choose(true_child, false_child)
+        steps.append(PathStep(split_var, current is true_child, serialize(current)))
 
     assert isinstance(current, Const)
     verdict = current.value

@@ -302,9 +302,14 @@ class TestBrokenPipe:
         ],
         ids=["records", "gen"],
     )
-    def test_reader_gone_after_one_line(self, argv):
+    # Block-buffered stdout on a pipe, as by default; and unbuffered, where a
+    # single large write could end short and drop its rest without an error.
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_reader_gone_after_one_line(self, argv, unbuffered):
         env = dict(os.environ)
-        env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered on a pipe, as by default
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         src = str(Path(cli.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         process = subprocess.Popen(

@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from selfred import oracles as oracles_module
-from selfred.counting import combine3, decode3
-from selfred.errors import InvalidBound, TooLarge
+from selfred.counting import combine3, count_via_enumerator, decode3
+from selfred.errors import InvalidBound, OracleContractViolation, TooLarge
 from selfred.formula import (
     And,
     Const,
@@ -29,6 +29,10 @@ from selfred.generate import generate_corpus, generate_random
 from selfred.oracles import (
     NON_TALLY_TOKEN,
     PolynomialBound,
+    SelectorOracle,
+    SparseCoReductionOracle,
+    TallyReductionOracle,
+    TwoEnumeratorOracle,
     adversarial_selector,
     exact_model_count,
     honest_selector,
@@ -37,6 +41,8 @@ from selfred.oracles import (
     simulated_sparse_coreduction,
     simulated_tally_reduction,
 )
+from selfred.pruning import decide_via_sparse, decide_via_tally
+from selfred.selector import decide_via_selector
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +115,70 @@ class TestSelectors:
         picks1 = [serialize(adversarial_selector(4).choose(a, b)) for a, b in zip(corpus, corpus[1:])]
         picks2 = [serialize(adversarial_selector(4).choose(a, b)) for a, b in zip(corpus, corpus[1:])]
         assert picks1 == picks2
+
+
+class TestSelectorContract:
+    """``choose`` returns one of its arguments itself, or raises."""
+
+    def test_equal_text_copy_of_b_returns_b_itself(self):
+        a, b = parse("x1 & !x1"), parse("x2 | x3")
+        oracle = SelectorOracle(lambda a, b: parse(serialize(b)))
+        assert oracle.choose(a, b) is b
+
+    def test_equal_texts_return_a_first(self):
+        a, b = parse("x2 | x3"), parse("x2 | x3")
+        oracle = SelectorOracle(lambda a, b: parse(serialize(b)))
+        assert oracle.choose(a, b) is a
+
+    @pytest.mark.parametrize("answer", ["x3", "x1 & x2", "T"])
+    def test_answer_that_is_neither_argument(self, answer):
+        oracle = SelectorOracle(lambda a, b: parse(answer))
+        with pytest.raises(OracleContractViolation, match="neither of its arguments"):
+            oracle.choose(parse("x1"), parse("x2"))
+        assert oracle.call_counter == 1
+
+
+class TestOneWrappedMethodPerQuery:
+    """Each oracle query passes exactly one of the four query methods, so a
+    wrapper set on each class sees every query once."""
+
+    METHODS = (
+        (SelectorOracle, "choose"),
+        (TallyReductionOracle, "map"),
+        (SparseCoReductionOracle, "map"),
+        (TwoEnumeratorOracle, "enumerate"),
+    )
+
+    def test_wrapper_counts_equal_call_counters(self, monkeypatch, corpus):
+        seen = Counter()
+
+        def counting(cls, method):
+            original = getattr(cls, method)
+
+            def wrapper(self, *args):
+                seen[cls] += 1
+                return original(self, *args)
+
+            return wrapper
+
+        for cls, method in self.METHODS:
+            monkeypatch.setattr(cls, method, counting(cls, method))
+        for cls, _ in self.METHODS:
+            assert cls.__bases__ == (oracles_module._CountedOracle,)
+        oracles = {
+            SelectorOracle: adversarial_selector(1),
+            TallyReductionOracle: simulated_tally_reduction("spread"),
+            SparseCoReductionOracle: simulated_sparse_coreduction("scatter", seed=2),
+            TwoEnumeratorOracle: honest_two_enumerator("exact_plus_offset", seed=3),
+        }
+        for formula in corpus[:40]:
+            decide_via_selector(formula, oracles[SelectorOracle])
+            decide_via_tally(formula, oracles[TallyReductionOracle])
+            decide_via_sparse(formula, oracles[SparseCoReductionOracle], "capped_continue")
+            count_via_enumerator(formula, oracles[TwoEnumeratorOracle])
+        for cls, oracle in oracles.items():
+            assert oracle.call_counter > 0
+            assert seen[cls] == oracle.call_counter, cls.__name__
 
 
 class TestTallyReduction:
