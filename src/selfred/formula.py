@@ -12,6 +12,9 @@ Canonical serialization uses the same grammar with minimal parentheses and
 single spaces around binary operators; chains of the same connective are
 flattened, so the encoded length of a formula is stable under simplification.
 
+A split on a variable builds both children in one walk (``split``), after
+``simplify``; ``substitute`` and ``self_reduce`` are that walk too.
+
 Functions here are pure.  ``Not``/``And``/``Or`` nodes cache their variable
 mask, canonical text and simplified mark, set to sentinels at construction
 and filled in on first use, idempotently, so formulas stay safe to share
@@ -29,7 +32,7 @@ import re
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping
 
 from .errors import (
     FormulaSyntaxError,
@@ -126,7 +129,7 @@ class Or(_Connective):
 _set_mask, _set_text, _set_simple = _Node._mask.__set__, _Node._text.__set__, _Node._simple.__set__
 _set_index, _set_child = Var.index.__set__, Not.child.__set__
 
-Formula = Union[Const, Var, Not, And, Or]
+Formula = Const | Var | Not | And | Or
 
 TRUE = Const(True)
 FALSE = Const(False)
@@ -380,25 +383,21 @@ def simplify(formula: Formula) -> Formula:
     no Const node remains except as the whole formula.  Simplified nodes are
     marked, and simplifying a marked node returns it at once.
     """
-    return _simplify(formula, 0, TRUE)
+    return _simplify(formula)
 
 
-def _simplify(formula: Formula, bit: int, value: Const) -> Formula:
-    """simplify(formula) with the variable of mask ``bit`` (0: none) set to
-    ``value``.  Only simplified nodes are marked, so no node holds another
-    tree; marked subtrees without the variable are returned as they are."""
-    if bit and not bit & variable_mask(formula):
-        bit = 0
+def _simplify(formula: Formula) -> Formula:
+    # Only simplified nodes are marked, so no node holds another tree.
     cls = type(formula)
     if cls is Var or cls is Const:
-        return value if bit else formula
+        return formula
     if cls is not Not and cls is not And and cls is not Or:
         raise _not_a_formula(formula)
-    if not bit and formula._simple:
+    if formula._simple:
         return formula
     if cls is Not:
         child = formula.child
-        inner = _simplify(child, bit, value)
+        inner = _simplify(child)
         if type(inner) is Const:
             return FALSE if inner.value else TRUE
         result = formula if inner is child else Not(inner)
@@ -407,7 +406,7 @@ def _simplify(formula: Formula, bit: int, value: Const) -> Formula:
         absorbing = cls is Or  # False absorbs And, True absorbs Or
         kept: list[Formula] = []
         for child in children:
-            inner = _simplify(child, bit, value)
+            inner = _simplify(child)
             if type(inner) is Const:
                 if inner.value == absorbing:
                     return TRUE if absorbing else FALSE
@@ -421,6 +420,71 @@ def _simplify(formula: Formula, bit: int, value: Const) -> Formula:
         result = formula if unchanged else cls(*kept)
     _set_simple(result, True)
     return result
+
+
+def _split(formula: Formula, index: int, bit: int) -> tuple[Formula, Formula]:
+    """Both children of a simplified formula that holds x_index (mask
+    ``bit``): the formula with the variable True and with it False,
+    simplified.  Only the paths to the variable are rebuilt, and new nodes
+    are marked simplified."""
+    cls = type(formula)
+    if cls is Var:
+        return TRUE, FALSE
+    if cls is Not:
+        true_child, false_child = _split(formula.child, index, bit)
+        return _negated(true_child), _negated(false_child)
+    if cls is not And and cls is not Or:
+        raise _not_a_formula(formula)
+    absorbing = cls is Or  # False absorbs And, True absorbs Or
+    # Each side's kept children; None once an absorbing constant decided it.
+    kept_true: list[Formula] | None = []
+    kept_false: list[Formula] | None = []
+    for child in formula.children:
+        child_cls = type(child)
+        if child_cls is Var and child.index == index:
+            true_child, false_child = TRUE, FALSE
+        elif child_cls is Var or not variable_mask(child) & bit:
+            if kept_true is not None:
+                kept_true.append(child)
+            if kept_false is not None:
+                kept_false.append(child)
+            continue
+        else:
+            true_child, false_child = _split(child, index, bit)
+        if kept_true is not None:
+            if type(true_child) is not Const:
+                kept_true.append(true_child)
+            elif true_child.value == absorbing:
+                kept_true = None
+        if kept_false is not None:
+            if type(false_child) is not Const:
+                kept_false.append(false_child)
+            elif false_child.value == absorbing:
+                kept_false = None
+        if kept_true is None and kept_false is None:
+            break
+    return _joined(cls, kept_true, absorbing), _joined(cls, kept_false, absorbing)
+
+
+def _joined(cls: type, kept: list[Formula] | None, absorbing: bool) -> Formula:
+    if kept is None:
+        return TRUE if absorbing else FALSE
+    if not kept:
+        return FALSE if absorbing else TRUE
+    if len(kept) == 1:
+        return kept[0]
+    return _marked(cls(*kept))
+
+
+def _negated(node: Formula) -> Formula:
+    if type(node) is Const:
+        return FALSE if node.value else TRUE
+    return _marked(Not(node))
+
+
+def _marked(node: Formula) -> Formula:
+    _set_simple(node, True)
+    return node
 
 
 def _map_vars(formula: Formula, mapping: Mapping[int, Formula]) -> Formula:
@@ -437,21 +501,36 @@ def _map_vars(formula: Formula, mapping: Mapping[int, Formula]) -> Formula:
     raise _not_a_formula(formula)
 
 
-def substitute(formula: Formula, index: int, value: bool) -> Formula:
-    """Assign one variable and simplify.
+def split(formula: Formula, index: int) -> tuple[Formula, Formula]:
+    """Both children of a split on x_index, built in one walk: simplify(F)
+    with the variable True and with it False.
 
     Only the paths to the variable are rebuilt; other simplified subtrees
-    are kept as they are.  The result's variable set is contained in vars(F)
-    minus the assigned variable and its serialization is strictly shorter
-    than the input's.
+    are kept as they are, shared by both children.  Each child's variable
+    set is contained in vars(F) minus the split variable, and its
+    serialization is strictly shorter than the input's.
     """
     if not (index > 0 and variable_mask(formula) >> index & 1):
         raise UnknownVariable(f"variable x{index} does not occur in the formula")
-    return _simplify(formula, 1 << index, TRUE if value else FALSE)
+    return _split_simplified(formula, index)
+
+
+def _split_simplified(formula: Formula, index: int) -> tuple[Formula, Formula]:
+    # The caller has checked that x_index occurs in the formula.
+    simple = _simplify(formula)
+    bit = 1 << index
+    if simple is not formula and not variable_mask(simple) & bit:
+        return simple, simple  # simplification dropped the variable
+    return _split(simple, index, bit)
+
+
+def substitute(formula: Formula, index: int, value: bool) -> Formula:
+    """Assign one variable and simplify: one side of ``split``."""
+    return split(formula, index)[0 if value else 1]
 
 
 def self_reduce(formula: Formula) -> tuple[Formula, Formula, int]:
-    """Split on the least occurring variable.
+    """Split on the least occurring variable, in one walk (``split``).
 
     Returns (F with the variable True, F with it False, the variable); the
     input is satisfiable iff at least one of the two children is.
@@ -460,11 +539,7 @@ def self_reduce(formula: Formula) -> tuple[Formula, Formula, int]:
     if not mask:
         raise NoVariables("cannot self-reduce a constant formula")
     split_var = (mask & -mask).bit_length() - 1
-    return (
-        substitute(formula, split_var, True),
-        substitute(formula, split_var, False),
-        split_var,
-    )
+    return (*_split_simplified(formula, split_var), split_var)
 
 
 def rename_variables(formula: Formula, mapping: Mapping[int, int]) -> Formula:
@@ -538,10 +613,11 @@ def _column(position: int, total_bits: int) -> int:
 
 
 @functools.cache
-def _full_block_columns() -> tuple[int, ...]:
-    """Columns of the lowest _BLOCK_VARS variables in a full-width block,
-    built once: every table of at least _BLOCK_VARS variables uses them."""
-    return tuple(_column(rank, 1 << _BLOCK_VARS) for rank in range(_BLOCK_VARS))
+def _block_columns(width: int) -> tuple[int, ...]:
+    """Columns of the lowest ``width`` variables in a block of 2^width
+    assignments, built once per width: about 250 KB for all widths up to
+    _BLOCK_VARS together."""
+    return tuple(_column(rank, 1 << width) for rank in range(width))
 
 
 def _truth_table(formula: Formula, masks: dict[int, int], full: int) -> int:
@@ -583,12 +659,8 @@ def _model_count(formula: Formula, limit: int | None, stop_at_model: bool) -> in
         raise TooLarge(f"{k} variables exceeds the exhaustive limit of {effective}")
     occurring = sorted(variables(formula))
     low = min(k, _BLOCK_VARS)
-    block_bits = 1 << low
-    full = (1 << block_bits) - 1
-    if low == _BLOCK_VARS:
-        masks = dict(zip(occurring, _full_block_columns()))  # stops after _BLOCK_VARS
-    else:
-        masks = {index: _column(rank, block_bits) for rank, index in enumerate(occurring)}
+    full = (1 << (1 << low)) - 1
+    masks = dict(zip(occurring, _block_columns(low)))  # stops after the lowest variables
     high = occurring[low:]
     count = 0
     for block in range(1 << len(high)):

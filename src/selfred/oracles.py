@@ -1,14 +1,16 @@
 """Simulated oracles for the four decider capabilities.
 
 Each constructor returns an oracle whose input/output behavior satisfies the
-declared contract (checked against brute force by the test suite); all of
-them answer through one memoized ``exact_model_count``, and satisfiable means
-a positive count.  That counter splits variable-disjoint conjunctions, sums
-mutually exclusive disjunctions and Shannon-expands the rest.  Oracles are
-deterministic, which the deciders' duplicate-image pruning relies on.  The
-only mutable state is the call counter and the style-internal image/count
-memos, so confine instances to one thread (results never depend on
-interleaving; the counter is not atomic).
+declared contract (checked against brute force by the test suite).  Each
+answers through a memo over ``exact_model_count``: the selector, tally and
+sparse oracles ask whether a model exists, and the counter stops at the
+first one; the 2-enumerator asks how many.  That counter splits
+variable-disjoint conjunctions, sums mutually exclusive disjunctions and
+Shannon-expands the rest.  Oracles are deterministic, which the deciders'
+duplicate-image pruning relies on.  The only mutable state is the call
+counter and the style-internal image/answer memos, so confine instances to
+one thread (results never depend on interleaving; the counter is not
+atomic).
 
 Answers that break a contract's form raise ``OracleContractViolation``: a
 selector choice that is not one of its two arguments (by canonical text), an
@@ -34,8 +36,9 @@ from .formula import (
     Or,
     Var,
     brute_force_count,
+    brute_force_sat,
     serialize,
-    substitute,
+    split,
     variable_mask,
 )
 
@@ -166,28 +169,38 @@ def _digest_int(*parts: object) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
-def _memoized_count() -> Callable[[Formula], int]:
-    cache: dict[str, int] = {}
+def _memoized(answer: Callable[[Formula], object]) -> Callable[[Formula], object]:
+    cache: dict[str, object] = {}
 
-    def count(formula: Formula) -> int:
+    def ask(formula: Formula):
         key = serialize(formula)
         if key not in cache:
-            cache[key] = exact_model_count(formula)
+            cache[key] = answer(formula)
         return cache[key]
 
-    return count
+    return ask
+
+
+def _memoized_sat() -> Callable[[Formula], bool]:
+    """Whether a formula has a model; the counter stops at the first one."""
+    return _memoized(lambda formula: exact_model_count(formula, stop_at_model=True) > 0)
+
+
+def _memoized_count() -> Callable[[Formula], int]:
+    # The counter is looked up when called, so rebinding its name reaches it.
+    return _memoized(lambda formula: exact_model_count(formula))
 
 
 def honest_selector() -> SelectorOracle:
     """Selector that prefers its first argument, satisfiable ones first."""
-    count = _memoized_count()
+    sat = _memoized_sat()
 
     def choose(a: Formula, b: Formula) -> Formula:
         if serialize(a) == serialize(b):
             return a
-        if count(a) > 0:
+        if sat(a):
             return a
-        if count(b) > 0:
+        if sat(b):
             return b
         return a
 
@@ -197,13 +210,13 @@ def honest_selector() -> SelectorOracle:
 def adversarial_selector(seed: int) -> SelectorOracle:
     """Contract-respecting but unhelpful: whenever the contract allows either
     argument, the pick is pseudo-random from the seed."""
-    count = _memoized_count()
+    sat = _memoized_sat()
 
     def choose(a: Formula, b: Formula) -> Formula:
         key_a, key_b = serialize(a), serialize(b)
         if key_a == key_b:
             return a
-        sat_a, sat_b = count(a) > 0, count(b) > 0
+        sat_a, sat_b = sat(a), sat(b)
         if sat_a != sat_b:
             return a if sat_a else b
         return a if _digest_int(seed, key_a, key_b) % 2 == 0 else b
@@ -219,16 +232,16 @@ def simulated_tally_reduction(style: str) -> TallyReductionOracle:
     unsatisfiable formulas map to the non-tally token.  spread: T = the
     even-length zero strings; images are bucketed by encoded length mod 8.
     """
-    count = _memoized_count()
+    sat = _memoized_sat()
     if style == "canonical":
-        map_fn = lambda f: "00" if count(f) > 0 else "0"
+        map_fn = lambda f: "00" if sat(f) else "0"
     elif style == "collision_rich":
-        map_fn = lambda f: "0" if count(f) > 0 else NON_TALLY_TOKEN
+        map_fn = lambda f: "0" if sat(f) else NON_TALLY_TOKEN
     elif style == "spread":
 
         def map_fn(f: Formula) -> str:
             bucket = len(serialize(f)) % 8
-            return "0" * (2 * bucket if count(f) > 0 else 2 * bucket + 1)
+            return "0" * (2 * bucket if sat(f) else 2 * bucket + 1)
 
     else:
         raise ValueError(f"unknown tally style {style!r}; expected one of {TALLY_STYLES}")
@@ -245,7 +258,7 @@ def simulated_sparse_coreduction(style: str, seed: int = 0) -> SparseCoReduction
     distinct images outside S, so frontiers of diverse satisfiable nodes are
     never collapsed by deduplication.
     """
-    count = _memoized_count()
+    sat = _memoized_sat()
     # Arrival numbering keeps images functional within an oracle's lifetime;
     # lengths stay under r as long as fewer than 2^16 satisfiable formulas
     # are seen, far beyond desk scale.
@@ -262,7 +275,7 @@ def simulated_sparse_coreduction(style: str, seed: int = 0) -> SparseCoReduction
 
         def map_fn(f: Formula) -> str:
             key = serialize(f)
-            return fresh_image(key) if count(f) > 0 else "1"
+            return fresh_image(key) if sat(f) else "1"
 
     elif style == "scatter":
         q = PolynomialBound((2, 2))
@@ -270,7 +283,7 @@ def simulated_sparse_coreduction(style: str, seed: int = 0) -> SparseCoReduction
 
         def map_fn(f: Formula) -> str:
             key = serialize(f)
-            if count(f) > 0:
+            if sat(f):
                 return fresh_image(key)
             return "1" * (1 + _digest_int(seed, key) % 16)
 
@@ -303,7 +316,7 @@ def honest_two_enumerator(style: str, seed: int = 0) -> TwoEnumeratorOracle:
     return TwoEnumeratorOracle(enumerate_fn)
 
 
-# Every oracle counts here, on tree nodes and on combined formulas of about
+# Every oracle asks here, on tree nodes and on combined formulas of about
 # triple the input's variables, so it cannot lean on the naive brute force.
 # This counter is exact and structure-aware, using the two rules that make
 # counting polynomial on d-DNNF (Darwiche and Marquis 2002): conjunctions split
@@ -312,21 +325,36 @@ def honest_two_enumerator(style: str, seed: int = 0) -> TwoEnumeratorOracle:
 # The combiner's switch variable makes its formulas such disjunctions.
 # Literals count 1, everything else Shannon-splits on the most frequent
 # variable, and residues of at most 18 variables fall through to the truth
-# table.
+# table.  With ``stop_at_model`` the answer is positive exactly when the
+# count is, and the recursion stops at the first model: tables stop at their
+# first block with a model, any disjunction at its first child with one, a
+# Shannon split at its first branch with one, and a conjunction, as always,
+# at its first component without one.
 _BIT_PARALLEL_LIMIT = 18
 _DEFAULT_COUNT_BUDGET = 50_000
 _INDEX = re.compile(r"x(\d+)")
 
 
-def exact_model_count(formula: Formula, budget: int = _DEFAULT_COUNT_BUDGET) -> int:
-    """Exact model count over vars(formula); raises TooLarge if the formula
-    resists decomposition within the work budget."""
+def exact_model_count(
+    formula: Formula, budget: int = _DEFAULT_COUNT_BUDGET, *, stop_at_model: bool = False
+) -> int:
+    """Exact model count over vars(formula), or with ``stop_at_model`` a
+    number that is positive exactly when the count is; raises TooLarge if
+    the formula resists decomposition within the work budget."""
     if variable_mask(formula).bit_count() <= _BIT_PARALLEL_LIMIT:
-        return brute_force_count(formula, limit=_BIT_PARALLEL_LIMIT)
-    return _component_count(formula, {}, [budget])
+        return _table_count(formula, stop_at_model)
+    return _component_count(formula, {}, [budget], stop_at_model)
 
 
-def _component_count(formula: Formula, memo: dict[str, int], remaining: list[int]) -> int:
+def _table_count(formula: Formula, stop_at_model: bool) -> int:
+    if stop_at_model:
+        return int(brute_force_sat(formula, limit=_BIT_PARALLEL_LIMIT))
+    return brute_force_count(formula, limit=_BIT_PARALLEL_LIMIT)
+
+
+def _component_count(
+    formula: Formula, memo: dict[str, int], remaining: list[int], stop_at_model: bool
+) -> int:
     if isinstance(formula, Const):
         return 1 if formula.value else 0
     if isinstance(formula, Var) or isinstance(formula, Not) and isinstance(formula.child, Var):
@@ -339,7 +367,7 @@ def _component_count(formula: Formula, memo: dict[str, int], remaining: list[int
         return memo[key]
     k = variable_mask(formula).bit_count()
     if k <= _BIT_PARALLEL_LIMIT:
-        result = brute_force_count(formula, limit=_BIT_PARALLEL_LIMIT)
+        result = _table_count(formula, stop_at_model)
         memo[key] = result
         return result
 
@@ -349,49 +377,92 @@ def _component_count(formula: Formula, memo: dict[str, int], remaining: list[int
             result = 1
             for group in groups:
                 part = group[0] if len(group) == 1 else And(*group)
-                result *= _component_count(part, memo, remaining)
+                result *= _component_count(part, memo, remaining, stop_at_model)
                 if result == 0:
                     break
             memo[key] = result
             return result
 
-    if isinstance(formula, Or) and _pairwise_contradictory(formula.children):
+    if isinstance(formula, Or) and (stop_at_model or _pairwise_contradictory(formula.children)):
         result = 0
         for child in formula.children:
-            child_count = _component_count(child, memo, remaining)
+            child_count = _component_count(child, memo, remaining, stop_at_model)
             result += child_count << (k - variable_mask(child).bit_count())
+            if stop_at_model and result:
+                break
         memo[key] = result
         return result
 
     split_var = _most_frequent_variable(key)
     slots = k - 1
     result = 0
-    for value in (True, False):
-        child = substitute(formula, split_var, value)
-        child_count = _component_count(child, memo, remaining)
+    for child in split(formula, split_var):
+        child_count = _component_count(child, memo, remaining, stop_at_model)
         result += child_count << (slots - variable_mask(child).bit_count())
+        if stop_at_model and result:
+            break
     memo[key] = result
     return result
 
 
 def _disjoint_groups(children: tuple[Formula, ...]) -> list[list[Formula]]:
-    groups: list[tuple[int, list[Formula]]] = []
+    """The conjuncts in variable-disjoint groups.  Conjunct i starts group i
+    and takes in every earlier group it meets, found by a union-find by
+    variable.  Groups come in the order of their newest conjunct, and a group
+    lists the groups it took in, newest first, then its own conjunct."""
+    parent = list(range(len(children)))  # a group points to the one that took it in
+    masks: list[int] = []  # of each group still open
+    taken: dict[int, list[int]] = {}
+    # Variable -> the group it first occurred in; built when a conjunct first
+    # meets a group, so conjuncts that are all disjoint index no variable.
+    owner: dict[int, int] | None = None
     union = 0  # of every group's mask
-    for child in children:
-        child_mask = variable_mask(child)
-        merged_mask, merged_children = child_mask, [child]
-        if child_mask & union:  # rebuild the list only when the child meets a group
-            kept = []
-            for group_mask, group_children in groups:
-                if group_mask & child_mask:
-                    merged_mask |= group_mask
-                    merged_children = group_children + merged_children
-                else:
-                    kept.append((group_mask, group_children))
-            groups = kept
-        groups.append((merged_mask, merged_children))
-        union |= child_mask
-    return [children_ for _, children_ in groups]
+    for i, child in enumerate(children):
+        mask = variable_mask(child)
+        met = mask & union
+        if met and owner is None:
+            owner = {}
+            for group, group_mask in enumerate(masks):
+                _index_variables(owner, group_mask, group)
+        if owner is not None:
+            _index_variables(owner, mask & ~union, i)
+        union |= mask
+        roots = []
+        while met:
+            root = owner[(met & -met).bit_length() - 1]
+            while parent[root] != root:
+                parent[root] = root = parent[parent[root]]
+            roots.append(root)
+            parent[root] = i
+            met &= ~masks[root]
+            mask |= masks[root]
+            masks[root] = 0
+        masks.append(mask)
+        if roots:
+            taken[i] = sorted(roots, reverse=True)
+    if owner is None:
+        return [[child] for child in children]
+    groups = []
+    for root, up in enumerate(parent):
+        if up != root:
+            continue
+        members, stack = [], [root]
+        while stack:  # ~i marks conjunct i, after the groups its group took in
+            item = stack.pop()
+            if item < 0:
+                members.append(children[~item])
+            else:
+                stack.append(~item)
+                stack.extend(reversed(taken.get(item, ())))
+        groups.append(members)
+    return groups
+
+
+def _index_variables(owner: dict[int, int], mask: int, group: int) -> None:
+    while mask:
+        low = mask & -mask
+        owner[low.bit_length() - 1] = group
+        mask ^= low
 
 
 def _unit_literals(formula: Formula) -> tuple[int, int]:

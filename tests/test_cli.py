@@ -558,3 +558,11 @@ class TestMemory:
         large_peak, large_trace = self.peak_and_trace_bytes(tmp_path, 4_000)
         assert large_trace > small_trace
         assert large_peak - small_peak < large_trace - small_trace
+
+
+class TestDecidersAtSixtyFourVariables:
+    @pytest.mark.parametrize("decider", ["tally", "sparse"])
+    def test_finish_without_too_large(self, decider, capsys):
+        argv = ["decide", decider, "--random", "vars=64", "count=3", "seed=1", "--no-verify"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.count(" -> ") == 3

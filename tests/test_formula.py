@@ -834,3 +834,126 @@ class TestMalformedInput:
             ENTRY_POINTS[name](value)
         assert isinstance(caught.value, SelfReducibilityError)
         assert isinstance(caught.value, TypeError)
+
+
+def simplify_with_assignment(formula, bit, value):
+    """simplify(formula) with the variable of mask ``bit`` (0: none) set to
+    ``value``, in one walk: the kernel's substitution walker before splits
+    built both children in one walk, and the reference for them."""
+    if bit and not bit & variable_mask(formula):
+        bit = 0
+    cls = type(formula)
+    if cls is Var or cls is Const:
+        return value if bit else formula
+    if not bit and formula._simple:
+        return formula
+    if cls is Not:
+        child = formula.child
+        inner = simplify_with_assignment(child, bit, value)
+        if type(inner) is Const:
+            return Const(not inner.value)
+        result = formula if inner is child else Not(inner)
+    else:
+        children = formula.children
+        absorbing = cls is Or
+        kept = []
+        for child in children:
+            inner = simplify_with_assignment(child, bit, value)
+            if type(inner) is Const:
+                if inner.value == absorbing:
+                    return Const(absorbing)
+                continue
+            kept.append(inner)
+        if not kept:
+            return Const(not absorbing)
+        if len(kept) == 1:
+            return kept[0]
+        unchanged = len(kept) == len(children) and all(map(operator.is_, kept, children))
+        result = formula if unchanged else cls(*kept)
+    return result
+
+
+class TestOneWalkSplit:
+    @settings(max_examples=400, deadline=None)
+    @given(formulas(max_vars=5, max_leaves=14), st.booleans())
+    def test_children_match_the_assigning_walk(self, formula, presimplify):
+        if presimplify:
+            formula = simplify(formula)
+        for index in sorted(variables(formula)):
+            children = formula_module.split(formula, index)
+            for child, value in zip(children, (True, False)):
+                expected = simplify_with_assignment(formula, 1 << index, Const(value))
+                assert child == expected
+                assert serialize(child) == serialize(expected)
+                assert substitute(formula, index, value) == expected
+                if isinstance(child, (Not, And, Or)):
+                    assert child._simple  # marked, so simplify returns it at once
+                assert simplify(child) is child
+        if variables(formula):
+            true_child, false_child, split_var = self_reduce(formula)
+            assert split_var == min(variables(formula))
+            assert (true_child, false_child) == formula_module.split(formula, split_var)
+
+    def test_both_children_share_the_untouched_subtrees(self):
+        formula = simplify(parse("(x1 | x2 & !(x3 | x4)) & (x5 | !x6) & !(x7 & x8)"))
+        true_child, false_child = formula_module.split(formula, 1)
+        first, second, third = formula.children
+        assert true_child.children[0] is second and true_child.children[1] is third
+        assert false_child.children[-2] is second and false_child.children[-1] is third
+
+    def test_a_variable_that_simplification_drops(self):
+        # x1 occurs in the input but not in its simplification.
+        formula = parse("(x1 & F) | x2")
+        assert formula_module.split(formula, 1) == (Var(2), Var(2))
+        assert self_reduce(parse("x1 & F")) == (Const(False), Const(False), 1)
+
+    def test_unknown_variable(self):
+        with pytest.raises(UnknownVariable):
+            formula_module.split(parse("x1 & x2"), 3)
+
+    @pytest.mark.parametrize("value", NOT_FORMULAS, ids=repr)
+    def test_not_a_formula(self, value):
+        with pytest.raises(MalformedInput, match="^not a formula"):
+            formula_module.split(value, 1)
+
+    def test_simplify_takes_no_assignment(self):
+        import inspect
+
+        assert list(inspect.signature(formula_module._simplify).parameters) == ["formula"]
+
+
+class TestBlockColumns:
+    @pytest.mark.parametrize("width", range(formula_module._BLOCK_VARS + 1))
+    def test_columns_of_every_width(self, width):
+        columns = formula_module._block_columns(width)
+        assert columns is formula_module._block_columns(width)  # built once
+        assert len(columns) == width
+        for rank, column in enumerate(columns):
+            half = 1 << rank  # from bit 0 up: 2^rank zeros, then 2^rank ones
+            assert column == int(("1" * half + "0" * half) * ((1 << width) // (2 * half)), 2)
+
+
+class TestReimport:
+    def test_old_copies_are_freed(self):
+        # A typing.Union alias of the node classes would stay in typing's
+        # cache, and with it each old copy's globals and caches.
+        import os
+        import subprocess
+
+        script = (
+            "import gc, importlib, sys\n"
+            "for _ in range(3):\n"
+            "    for name in [n for n in sys.modules if n.startswith('selfred')]:\n"
+            "        del sys.modules[name]\n"
+            "    importlib.import_module('selfred').brute_force_count(\n"
+            "        importlib.import_module('selfred').parse('x1 | x2'))\n"
+            "gc.collect()\n"
+            "print(sum(1 for o in gc.get_objects()\n"
+            "          if isinstance(o, dict) and o.get('__name__') == 'selfred.formula'))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "1"

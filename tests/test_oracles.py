@@ -27,7 +27,10 @@ from selfred.formula import (
 )
 from selfred.generate import generate_corpus, generate_random
 from selfred.oracles import (
+    ENUMERATOR_STYLES,
     NON_TALLY_TOKEN,
+    SPARSE_STYLES,
+    TALLY_STYLES,
     PolynomialBound,
     SelectorOracle,
     SparseCoReductionOracle,
@@ -572,3 +575,199 @@ class TestMostFrequentVariable:
     def test_unsimplified_formulas_with_long_indices(self, formula):
         assume(variable_mask(formula))
         self.check(formula)
+
+
+def disjoint_groups_by_scan(children):
+    """The component split before the union-find: a conjunct that meets a
+    group scans every group, quadratic in the conjuncts."""
+    groups = []
+    union = 0
+    for child in children:
+        child_mask = variable_mask(child)
+        merged_mask, merged_children = child_mask, [child]
+        if child_mask & union:
+            kept = []
+            for group_mask, group_children in groups:
+                if group_mask & child_mask:
+                    merged_mask |= group_mask
+                    merged_children = group_children + merged_children
+                else:
+                    kept.append((group_mask, group_children))
+            groups = kept
+        groups.append((merged_mask, merged_children))
+        union |= child_mask
+    return [children_ for _, children_ in groups]
+
+
+class TestUnionFindSplit:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(bodies(indices=tuple(range(1, 10))), max_size=12))
+    def test_same_groups_in_the_same_order(self, children):
+        groups = oracles_module._disjoint_groups(tuple(children))
+        expected = disjoint_groups_by_scan(children)
+        assert groups == expected
+        assert all(map(operator.is_, sum(groups, []), sum(expected, [])))
+
+    def test_chains_and_high_indices(self):
+        chain = [Or(Var(i), Var(i + 1)) for i in range(3000, 1, -1)]
+        for children in (chain, chain[::-1], [Var(5000), Not(Var(5000)), Var(1), Var(2000)]):
+            assert oracles_module._disjoint_groups(tuple(children)) == disjoint_groups_by_scan(
+                children
+            )
+
+    def test_conjuncts_meeting_earlier_groups_in_linear_time(self):
+        n = 5000
+        formula = And(*(Var(i) for i in range(1, n + 1)), *(Not(Var(i)) for i in range(1, n + 1)))
+        start = time.perf_counter()
+        assert exact_model_count(formula) == 0
+        assert time.perf_counter() - start < 1
+
+
+def exact_counts_only(monkeypatch) -> list[bool]:
+    """Make every oracle count exactly, as they did before the decision
+    oracles stopped at the first model; returns the stop_at_model flag of
+    every call."""
+    original = oracles_module.exact_model_count
+    asked = []
+
+    def exact(formula, budget=oracles_module._DEFAULT_COUNT_BUDGET, *, stop_at_model=False):
+        asked.append(stop_at_model)
+        return original(formula, budget)
+
+    monkeypatch.setattr(oracles_module, "exact_model_count", exact)
+    return asked
+
+
+def refuse_exact_counts(monkeypatch):
+    """Make exact counting raise, so that only stop-at-model answers remain."""
+    original = oracles_module.exact_model_count
+
+    def stop_only(formula, budget=oracles_module._DEFAULT_COUNT_BUDGET, *, stop_at_model=False):
+        if not stop_at_model:
+            raise AssertionError("exact count asked for")
+        return original(formula, budget, stop_at_model=True)
+
+    monkeypatch.setattr(oracles_module, "exact_model_count", stop_only)
+
+
+def stop_at_model(formula):
+    return exact_model_count(formula, stop_at_model=True)
+
+
+# Disjunctions whose children share models, and conjunctions of several
+# variable-disjoint groups.
+OVERLAPPING_OR = st.lists(bodies(indices=(1, 2, 3, 4)), min_size=2, max_size=4).map(lambda cs: Or(*cs))
+GROUPED_AND = st.lists(
+    st.one_of(bodies(indices=(1, 2)), bodies(indices=(3, 4)), bodies(indices=(5, 6)), OVERLAPPING_OR),
+    min_size=2,
+    max_size=4,
+).map(lambda cs: And(*cs))
+
+
+class TestStopAtModel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(EXCLUSIVE, OVERLAPPING_OR, GROUPED_AND, bodies()))
+    def test_positive_exactly_when_satisfiable_on_every_rule(self, formula):
+        expected = brute_force_count(formula) > 0
+        assert (stop_at_model(formula) > 0) == expected
+        with structural_only():
+            assert (stop_at_model(formula) > 0) == expected
+
+    def test_positive_exactly_when_satisfiable_up_to_24_variables(self, corpus):
+        formulas = list(corpus)
+        for n in (19, 20, 22, 24):
+            for seed in range(4):
+                big = generate_random(n, 2 * n + 2, seed)
+                formulas += [big, And(big, Not(big)), Or(And(big, Var(n + 1)), And(big, Not(Var(n + 1))))]
+        for formula in formulas:
+            assert (stop_at_model(formula) > 0) == (brute_force_count(formula, limit=25) > 0)
+
+    def test_positive_exactly_when_the_exact_count_is_above_24_variables(self):
+        for n in (25, 30, 35, 40):
+            for seed in range(3):
+                formula = generate_random(n, 2 * n + 2, seed)
+                queries = [formula, And(formula, Not(formula))]
+                true_child, false_child, _ = self_reduce(formula)
+                if not isinstance(true_child, Const) and not isinstance(false_child, Const):
+                    queries.append(combine3(formula, true_child, false_child).outer.combined)
+                for query in queries:
+                    assert (stop_at_model(query) > 0) == (exact_model_count(query) > 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 7), st.integers(0, 10**6))
+    def test_combined_formulas(self, n, seed):
+        formula = generate_random(n, 2 * n + 2, seed)
+        true_child, false_child, _ = self_reduce(formula)
+        assume(not isinstance(true_child, Const) and not isinstance(false_child, Const))
+        combined = combine3(formula, true_child, false_child).outer.combined
+        expected = brute_force_count(combined, limit=variable_mask(combined).bit_count()) > 0
+        assert (stop_at_model(combined) > 0) == expected
+        with structural_only():
+            assert (stop_at_model(combined) > 0) == expected
+
+    def test_tables_stop_at_the_first_model(self, monkeypatch):
+        asked = []
+        monkeypatch.setattr(oracles_module, "brute_force_count", lambda *a, **k: asked.append(a))
+        assert stop_at_model(generate_random(12, 26, 1)) > 0
+        with structural_only():
+            assert stop_at_model(parse("x1 & x2 | x1 & x3 | !x2")) > 0
+        assert asked == []
+
+    def test_decision_oracles_never_count_exactly(self, monkeypatch, corpus):
+        refuse_exact_counts(monkeypatch)
+        for formula in corpus[:60]:
+            sat = brute_force_sat(formula)
+            for selector in (honest_selector(), adversarial_selector(3)):
+                assert decide_via_selector(formula, selector)[0] == sat
+            for style in TALLY_STYLES:
+                assert decide_via_tally(formula, simulated_tally_reduction(style))[0] == sat
+            for style in SPARSE_STYLES:
+                assert decide_via_sparse(formula, simulated_sparse_coreduction(style))[0] == sat
+
+    def test_the_enumerator_still_counts_exactly(self, monkeypatch, corpus):
+        tables = []
+        reference = oracles_module.brute_force_sat
+        monkeypatch.setattr(
+            oracles_module, "brute_force_sat", lambda *a, **k: tables.append(a) or reference(*a, **k)
+        )
+        for formula in corpus[:60]:
+            for style in ENUMERATOR_STYLES:
+                oracle = honest_two_enumerator(style)
+                assert brute_force_count(formula) in oracle.enumerate(formula)
+                assert count_via_enumerator(formula, oracle)[0] == brute_force_count(formula)
+        assert tables == []
+
+    @pytest.mark.parametrize("n", [32, 40])
+    def test_same_outputs_as_exact_counting_oracles(self, tmp_path, monkeypatch, n):
+        # Brute force cannot check answers at this size; oracles that count
+        # exactly answer the same, so every byte written must match.
+        from selfred.cli import ExperimentConfig, run
+
+        formulas = [generate_random(n, 2 * n + 2, seed) for seed in range(3)]
+
+        def outputs(name):
+            written = {}
+            for algorithm, style in (
+                ("selector", "adversarial"),
+                ("tally", "spread"),
+                ("sparse", "scatter"),
+            ):
+                trace, summary = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.csv"
+                run(
+                    ExperimentConfig(
+                        algorithm=algorithm,
+                        formulas=formulas,
+                        oracle_style=style,
+                        seed=5,
+                        verify=False,
+                        trace_path=str(trace),
+                        summary_path=str(summary),
+                    )
+                )
+                written[algorithm] = (trace.read_bytes(), summary.read_bytes())
+            return written
+
+        stopping = outputs("stop")
+        asked = exact_counts_only(monkeypatch)
+        assert outputs("exact") == stopping
+        assert asked and all(asked)  # each call asked to stop, and was counted exactly
