@@ -413,19 +413,16 @@ def _disjoint_groups(children: tuple[Formula, ...]) -> list[list[Formula]]:
     parent = list(range(len(children)))  # a group points to the one that took it in
     masks: list[int] = []  # of each group still open
     taken: dict[int, list[int]] = {}
-    # Variable -> the group it first occurred in; built when a conjunct first
-    # meets a group, so conjuncts that are all disjoint index no variable.
-    owner: dict[int, int] | None = None
+    owner: dict[int, int] = {}  # variable -> the group it first occurred in
     union = 0  # of every group's mask
     for i, child in enumerate(children):
         mask = variable_mask(child)
         met = mask & union
-        if met and owner is None:
-            owner = {}
-            for group, group_mask in enumerate(masks):
-                _index_variables(owner, group_mask, group)
-        if owner is not None:
-            _index_variables(owner, mask & ~union, i)
+        fresh = mask & ~union
+        while fresh:
+            low = fresh & -fresh
+            owner[low.bit_length() - 1] = i
+            fresh ^= low
         union |= mask
         roots = []
         while met:
@@ -440,8 +437,6 @@ def _disjoint_groups(children: tuple[Formula, ...]) -> list[list[Formula]]:
         masks.append(mask)
         if roots:
             taken[i] = sorted(roots, reverse=True)
-    if owner is None:
-        return [[child] for child in children]
     groups = []
     for root, up in enumerate(parent):
         if up != root:
@@ -456,13 +451,6 @@ def _disjoint_groups(children: tuple[Formula, ...]) -> list[list[Formula]]:
                 stack.extend(reversed(taken.get(item, ())))
         groups.append(members)
     return groups
-
-
-def _index_variables(owner: dict[int, int], mask: int, group: int) -> None:
-    while mask:
-        low = mask & -mask
-        owner[low.bit_length() - 1] = group
-        mask ^= low
 
 
 def _unit_literals(formula: Formula) -> tuple[int, int]:
