@@ -133,7 +133,7 @@ def _solve_count(formula: Formula, oracle) -> tuple:
         {
             "depth": linkage.depth,
             "child": serialize(linkage.child),
-            "triples": [[t.a, t.b, t.c] for t in linkage.triples or ()],
+            "triples": [[t.a, t.b, t.c] for t in linkage.triples],
             "linkage": sorted(linkage.mapping.items()),
         }
         for linkage in chain

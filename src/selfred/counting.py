@@ -81,7 +81,7 @@ class Linkage:
     child: Formula
     mapping: dict[int, int]  # child count candidate -> root count candidate
     depth: int
-    triples: tuple[GuessTriple, GuessTriple] | None = None
+    triples: tuple[GuessTriple, GuessTriple]
 
 
 def _contiguous_renaming(formula: Formula, start: int) -> tuple[Formula, int]:

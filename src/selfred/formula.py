@@ -15,12 +15,15 @@ flattened, so the encoded length of a formula is stable under simplification.
 A split on a variable builds both children in one walk (``split``), after
 ``simplify``; ``substitute`` and ``self_reduce`` are that walk too.
 
-Functions here are pure.  ``Not``/``And``/``Or`` nodes cache their variable
-mask, canonical text and simplified mark, set to sentinels at construction
-and filled in on first use, idempotently, so formulas stay safe to share
-across threads; a mask too wide to keep stays unset, and leaves cache
-nothing.  Only this module walks whole trees.  Walkers dispatch on exact
-classes and raise ``MalformedInput`` for the rest, node subclasses included.
+Functions here are pure, except that ``brute_force_count`` and
+``brute_force_sat`` without ``limit`` read their cap from the environment
+variable ``SELFRED_BRUTE_LIMIT`` (``brute_force_limit``).  ``Not``/``And``/
+``Or`` nodes cache their variable mask, canonical text and simplified mark,
+set to sentinels at construction and filled in on first use, idempotently,
+so formulas stay safe to share across threads; a mask too wide to keep
+stays unset, and leaves cache nothing.  Only this module walks whole trees.
+Walkers dispatch on exact classes and raise ``MalformedInput`` for the rest,
+node subclasses included.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import re
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     FormulaSyntaxError,
@@ -396,30 +399,8 @@ def _simplify(formula: Formula) -> Formula:
     if formula._simple:
         return formula
     if cls is Not:
-        child = formula.child
-        inner = _simplify(child)
-        if type(inner) is Const:
-            return FALSE if inner.value else TRUE
-        result = formula if inner is child else Not(inner)
-    else:
-        children = formula.children
-        absorbing = cls is Or  # False absorbs And, True absorbs Or
-        kept: list[Formula] = []
-        for child in children:
-            inner = _simplify(child)
-            if type(inner) is Const:
-                if inner.value == absorbing:
-                    return TRUE if absorbing else FALSE
-                continue
-            kept.append(inner)
-        if not kept:
-            return FALSE if absorbing else TRUE
-        if len(kept) == 1:
-            return kept[0]
-        unchanged = len(kept) == len(children) and all(map(operator.is_, kept, children))
-        result = formula if unchanged else cls(*kept)
-    _set_simple(result, True)
-    return result
+        return _negated(_simplify(formula.child), formula)
+    return _folded(cls, map(_simplify, formula.children), formula)
 
 
 def _split(formula: Formula, index: int, bit: int) -> tuple[Formula, Formula]:
@@ -435,51 +416,50 @@ def _split(formula: Formula, index: int, bit: int) -> tuple[Formula, Formula]:
         return _negated(true_child), _negated(false_child)
     if cls is not And and cls is not Or:
         raise _not_a_formula(formula)
-    absorbing = cls is Or  # False absorbs And, True absorbs Or
-    # Each side's kept children; None once an absorbing constant decided it.
-    kept_true: list[Formula] | None = []
-    kept_false: list[Formula] | None = []
+    true_parts: list[Formula] = []
+    false_parts: list[Formula] = []
     for child in formula.children:
         child_cls = type(child)
         if child_cls is Var and child.index == index:
             true_child, false_child = TRUE, FALSE
         elif child_cls is Var or not variable_mask(child) & bit:
-            if kept_true is not None:
-                kept_true.append(child)
-            if kept_false is not None:
-                kept_false.append(child)
-            continue
+            true_child = false_child = child
         else:
             true_child, false_child = _split(child, index, bit)
-        if kept_true is not None:
-            if type(true_child) is not Const:
-                kept_true.append(true_child)
-            elif true_child.value == absorbing:
-                kept_true = None
-        if kept_false is not None:
-            if type(false_child) is not Const:
-                kept_false.append(false_child)
-            elif false_child.value == absorbing:
-                kept_false = None
-        if kept_true is None and kept_false is None:
-            break
-    return _joined(cls, kept_true, absorbing), _joined(cls, kept_false, absorbing)
+        true_parts.append(true_child)
+        false_parts.append(false_child)
+    return _folded(cls, true_parts), _folded(cls, false_parts)
 
 
-def _joined(cls: type, kept: list[Formula] | None, absorbing: bool) -> Formula:
-    if kept is None:
-        return TRUE if absorbing else FALSE
+def _negated(part: Formula, original: Formula | None = None) -> Formula:
+    """!part, for a simplified ``part``, simplified and marked: a constant
+    flips, and ``original`` stands when its child is ``part`` itself."""
+    if type(part) is Const:
+        return FALSE if part.value else TRUE
+    return _marked(original if original is not None and original.child is part else Not(part))
+
+
+def _folded(cls: type, parts: Iterable[Formula], original: Formula | None = None) -> Formula:
+    """The connective ``cls`` over simplified ``parts``, simplified and
+    marked: the neutral constant drops out, the absorbing one decides
+    (reading no further part), a lone part stands for itself, and
+    ``original`` stands when every part is its own child."""
+    absorbing = cls is Or  # False absorbs And, True absorbs Or
+    kept: list[Formula] = []
+    for part in parts:
+        if type(part) is Const:
+            if part.value == absorbing:
+                return TRUE if absorbing else FALSE
+            continue
+        kept.append(part)
     if not kept:
         return FALSE if absorbing else TRUE
     if len(kept) == 1:
         return kept[0]
+    if original is not None and len(kept) == len(original.children):
+        if all(map(operator.is_, kept, original.children)):
+            return _marked(original)
     return _marked(cls(*kept))
-
-
-def _negated(node: Formula) -> Formula:
-    if type(node) is Const:
-        return FALSE if node.value else TRUE
-    return _marked(Not(node))
 
 
 def _marked(node: Formula) -> Formula:
@@ -561,26 +541,13 @@ def rename_variables(formula: Formula, mapping: Mapping[int, int]) -> Formula:
 
 
 def evaluate(formula: Formula, assignment: Assignment) -> bool:
-    """Evaluate under an assignment covering every occurring variable."""
+    """Evaluate under an assignment covering every occurring variable: the
+    truth table over that one assignment."""
+    values = {index: 1 if value else 0 for index, value in assignment.items()}
     try:
-        return _evaluate(formula, assignment)
+        return _truth_table(formula, values, 1) == 1
     except KeyError as exc:
         raise IncompleteAssignment(f"assignment is missing variable x{exc.args[0]}") from None
-
-
-def _evaluate(formula: Formula, assignment: Assignment) -> bool:
-    cls = type(formula)
-    if cls is Var:
-        return assignment[formula.index]
-    if cls is Not:
-        return not _evaluate(formula.child, assignment)
-    if cls is And:
-        return all(_evaluate(c, assignment) for c in formula.children)
-    if cls is Or:
-        return any(_evaluate(c, assignment) for c in formula.children)
-    if cls is Const:
-        return formula.value
-    raise _not_a_formula(formula)
 
 
 def all_assignments(indices: frozenset[int] | set[int]) -> Iterator[dict[int, bool]]:

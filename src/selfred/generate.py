@@ -7,15 +7,20 @@ import random
 from .errors import InvalidParams
 from .formula import And, Formula, Not, Or, Var
 
+# Largest node_budget generate_random accepts.  Folding the leaves pops from
+# the middle of a list, so its time grows with the square of the budget:
+# about 2 s at this bound with every leaf drawn (2-core Xeon, Python 3.11).
+MAX_NODE_BUDGET = 100_000
+
 
 def generate_random(var_count: int, node_budget: int, seed: int) -> Formula:
     """Deterministic random formula in which every variable occurs.
 
-    ``node_budget`` bounds the number of variable-occurrence leaves; each of
-    the ``var_count`` variables takes one mandatory leaf, the rest are drawn
-    at random.  Connectives are free: leaves are optionally negated and then
-    folded together with random And/Or nodes (occasionally negated) until one
-    formula remains.
+    ``node_budget`` (at most ``MAX_NODE_BUDGET``) bounds the number of
+    variable-occurrence leaves; each of the ``var_count`` variables takes one
+    mandatory leaf, the rest are drawn at random.  Connectives are free:
+    leaves are optionally negated and then folded together with random
+    And/Or nodes (occasionally negated) until one formula remains.
     """
     if var_count < 1:
         raise InvalidParams(f"var_count must be >= 1, got {var_count}")
@@ -23,6 +28,8 @@ def generate_random(var_count: int, node_budget: int, seed: int) -> Formula:
         raise InvalidParams(
             f"node_budget must be >= var_count, got {node_budget} < {var_count}"
         )
+    if node_budget > MAX_NODE_BUDGET:
+        raise InvalidParams(f"node_budget must be <= {MAX_NODE_BUDGET}, got {node_budget}")
     rng = random.Random(seed)
     extra = rng.randint(0, node_budget - var_count)
     occurrences = list(range(1, var_count + 1))

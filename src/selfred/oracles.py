@@ -2,15 +2,16 @@
 
 Each constructor returns an oracle whose input/output behavior satisfies the
 declared contract (checked against brute force by the test suite).  Each
-answers through a memo over ``exact_model_count``: the selector, tally and
-sparse oracles ask whether a model exists, and the counter stops at the
-first one; the 2-enumerator asks how many.  That counter splits
-variable-disjoint conjunctions, sums mutually exclusive disjunctions and
-Shannon-expands the rest.  Oracles are deterministic, which the deciders'
-duplicate-image pruning relies on.  The only mutable state is the call
-counter and the style-internal image/answer memos, so confine instances to
-one thread (results never depend on interleaving; the counter is not
-atomic).
+keeps one memo by canonical text (``_by_text``), which serializes each
+query once and asks ``exact_model_count`` only on a miss: the selectors
+memoize whether a model exists, the tally and sparse oracles their whole
+image, and the 2-enumerator the model count.  The decision oracles' counter
+stops at the first model.  That counter splits variable-disjoint
+conjunctions, sums mutually exclusive disjunctions and Shannon-expands the
+rest.  Oracles are deterministic, which the deciders' duplicate-image
+pruning relies on.  The only mutable state is the call counter, the memo
+and sparse's arrival counter, so confine instances to one thread (results
+never depend on interleaving; the counter is not atomic).
 
 Answers that break a contract's form raise ``OracleContractViolation``: a
 selector choice that is not one of its two arguments (by canonical text), an
@@ -22,6 +23,7 @@ finds its split variable in its memo key text.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -169,35 +171,30 @@ def _digest_int(*parts: object) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
-def _memoized(answer: Callable[[Formula], object]) -> Callable[[Formula], object]:
+def _by_text(answer: Callable[[Formula, str], object]) -> Callable[[Formula], object]:
+    """Memo of ``answer(formula, text)`` by the formula's canonical text,
+    which is serialized once per query."""
     cache: dict[str, object] = {}
 
     def ask(formula: Formula):
         key = serialize(formula)
         if key not in cache:
-            cache[key] = answer(formula)
+            cache[key] = answer(formula, key)
         return cache[key]
 
     return ask
 
 
-def _memoized_sat() -> Callable[[Formula], bool]:
-    """Whether a formula has a model; the counter stops at the first one."""
-    return _memoized(lambda formula: exact_model_count(formula, stop_at_model=True) > 0)
-
-
-def _memoized_count() -> Callable[[Formula], int]:
+def _has_model(formula: Formula) -> bool:
     # The counter is looked up when called, so rebinding its name reaches it.
-    return _memoized(lambda formula: exact_model_count(formula))
+    return exact_model_count(formula, stop_at_model=True) > 0
 
 
 def honest_selector() -> SelectorOracle:
     """Selector that prefers its first argument, satisfiable ones first."""
-    sat = _memoized_sat()
+    sat = _by_text(lambda f, key: _has_model(f))
 
     def choose(a: Formula, b: Formula) -> Formula:
-        if serialize(a) == serialize(b):
-            return a
         if sat(a):
             return a
         if sat(b):
@@ -210,16 +207,13 @@ def honest_selector() -> SelectorOracle:
 def adversarial_selector(seed: int) -> SelectorOracle:
     """Contract-respecting but unhelpful: whenever the contract allows either
     argument, the pick is pseudo-random from the seed."""
-    sat = _memoized_sat()
+    sat = _by_text(lambda f, key: _has_model(f))
 
     def choose(a: Formula, b: Formula) -> Formula:
-        key_a, key_b = serialize(a), serialize(b)
-        if key_a == key_b:
-            return a
         sat_a, sat_b = sat(a), sat(b)
         if sat_a != sat_b:
             return a if sat_a else b
-        return a if _digest_int(seed, key_a, key_b) % 2 == 0 else b
+        return a if _digest_int(seed, serialize(a), serialize(b)) % 2 == 0 else b
 
     return SelectorOracle(choose)
 
@@ -232,20 +226,19 @@ def simulated_tally_reduction(style: str) -> TallyReductionOracle:
     unsatisfiable formulas map to the non-tally token.  spread: T = the
     even-length zero strings; images are bucketed by encoded length mod 8.
     """
-    sat = _memoized_sat()
     if style == "canonical":
-        map_fn = lambda f: "00" if sat(f) else "0"
+        image = lambda f, key: "00" if _has_model(f) else "0"
     elif style == "collision_rich":
-        map_fn = lambda f: "0" if sat(f) else NON_TALLY_TOKEN
+        image = lambda f, key: "0" if _has_model(f) else NON_TALLY_TOKEN
     elif style == "spread":
 
-        def map_fn(f: Formula) -> str:
-            bucket = len(serialize(f)) % 8
-            return "0" * (2 * bucket if sat(f) else 2 * bucket + 1)
+        def image(f: Formula, key: str) -> str:
+            bucket = len(key) % 8
+            return "0" * (2 * bucket if _has_model(f) else 2 * bucket + 1)
 
     else:
         raise ValueError(f"unknown tally style {style!r}; expected one of {TALLY_STYLES}")
-    return TallyReductionOracle(map_fn)
+    return TallyReductionOracle(_by_text(image))
 
 
 def simulated_sparse_coreduction(style: str, seed: int = 0) -> SparseCoReductionOracle:
@@ -258,38 +251,27 @@ def simulated_sparse_coreduction(style: str, seed: int = 0) -> SparseCoReduction
     distinct images outside S, so frontiers of diverse satisfiable nodes are
     never collapsed by deduplication.
     """
-    sat = _memoized_sat()
-    # Arrival numbering keeps images functional within an oracle's lifetime;
-    # lengths stay under r as long as fewer than 2^16 satisfiable formulas
-    # are seen, far beyond desk scale.
-    images: dict[str, str] = {}
-
-    def fresh_image(key: str) -> str:
-        if key not in images:
-            images[key] = "0" + format(len(images), "b")
-        return images[key]
+    # Images are memoized by text, so each satisfiable text draws one number
+    # and images stay functional within an oracle's lifetime; lengths stay
+    # under r as long as fewer than 2^16 satisfiable formulas are seen, far
+    # beyond desk scale.
+    arrivals = itertools.count()
 
     if style == "singleton":
         q = PolynomialBound((1, 1))
         r = PolynomialBound((16, 1))
-
-        def map_fn(f: Formula) -> str:
-            key = serialize(f)
-            return fresh_image(key) if sat(f) else "1"
-
+        unsat_image = lambda key: "1"
     elif style == "scatter":
         q = PolynomialBound((2, 2))
         r = PolynomialBound((32, 1))
-
-        def map_fn(f: Formula) -> str:
-            key = serialize(f)
-            if sat(f):
-                return fresh_image(key)
-            return "1" * (1 + _digest_int(seed, key) % 16)
-
+        unsat_image = lambda key: "1" * (1 + _digest_int(seed, key) % 16)
     else:
         raise ValueError(f"unknown sparse style {style!r}; expected one of {SPARSE_STYLES}")
-    return SparseCoReductionOracle(map_fn, q, r)
+
+    def image(f: Formula, key: str) -> str:
+        return "0" + format(next(arrivals), "b") if _has_model(f) else unsat_image(key)
+
+    return SparseCoReductionOracle(_by_text(image), q, r)
 
 
 def honest_two_enumerator(style: str, seed: int = 0) -> TwoEnumeratorOracle:
@@ -304,7 +286,7 @@ def honest_two_enumerator(style: str, seed: int = 0) -> TwoEnumeratorOracle:
         raise ValueError(
             f"unknown enumerator style {style!r}; expected one of {ENUMERATOR_STYLES}"
         )
-    count = _memoized_count()
+    count = _by_text(lambda f, key: exact_model_count(f))
 
     def enumerate_fn(f: Formula) -> list[int]:
         c = count(f)
@@ -355,9 +337,10 @@ def _table_count(formula: Formula, stop_at_model: bool) -> int:
 def _component_count(
     formula: Formula, memo: dict[str, int], remaining: list[int], stop_at_model: bool
 ) -> int:
-    if isinstance(formula, Const):
+    cls = type(formula)
+    if cls is Const:
         return 1 if formula.value else 0
-    if isinstance(formula, Var) or isinstance(formula, Not) and isinstance(formula.child, Var):
+    if cls is Var or cls is Not and type(formula.child) is Var:
         return 1
     remaining[0] -= 1
     if remaining[0] < 0:
@@ -368,39 +351,27 @@ def _component_count(
     k = variable_mask(formula).bit_count()
     if k <= _BIT_PARALLEL_LIMIT:
         result = _table_count(formula, stop_at_model)
-        memo[key] = result
-        return result
-
-    if isinstance(formula, And):
-        groups = _disjoint_groups(formula.children)
-        if len(groups) > 1:
-            result = 1
-            for group in groups:
-                part = group[0] if len(group) == 1 else And(*group)
-                result *= _component_count(part, memo, remaining, stop_at_model)
-                if result == 0:
-                    break
-            memo[key] = result
-            return result
-
-    if isinstance(formula, Or) and (stop_at_model or _pairwise_contradictory(formula.children)):
+    elif cls is And and len(groups := _disjoint_groups(formula.children)) > 1:
+        result = 1
+        for group in groups:
+            part = group[0] if len(group) == 1 else And(*group)
+            result *= _component_count(part, memo, remaining, stop_at_model)
+            if result == 0:
+                break
+    else:
+        # One lifted sum: each part's count times 2^(slots - its variables),
+        # over an exclusive disjunction's children (any disjunction's when
+        # only a model is sought) or over a Shannon split's two branches.
+        if cls is Or and (stop_at_model or _pairwise_contradictory(formula.children)):
+            parts, slots = formula.children, k
+        else:
+            parts, slots = split(formula, _most_frequent_variable(key)), k - 1
         result = 0
-        for child in formula.children:
-            child_count = _component_count(child, memo, remaining, stop_at_model)
-            result += child_count << (k - variable_mask(child).bit_count())
+        for part in parts:
+            part_count = _component_count(part, memo, remaining, stop_at_model)
+            result += part_count << (slots - variable_mask(part).bit_count())
             if stop_at_model and result:
                 break
-        memo[key] = result
-        return result
-
-    split_var = _most_frequent_variable(key)
-    slots = k - 1
-    result = 0
-    for child in split(formula, split_var):
-        child_count = _component_count(child, memo, remaining, stop_at_model)
-        result += child_count << (slots - variable_mask(child).bit_count())
-        if stop_at_model and result:
-            break
     memo[key] = result
     return result
 
@@ -453,24 +424,19 @@ def _disjoint_groups(children: tuple[Formula, ...]) -> list[list[Formula]]:
     return groups
 
 
-def _unit_literals(formula: Formula) -> tuple[int, int]:
-    """Masks of the variables among the top-level conjuncts as positive and
-    as negated literals; a literal is its own only conjunct."""
-    positive = negative = 0
-    for conjunct in formula.children if isinstance(formula, And) else (formula,):
-        if isinstance(conjunct, Var):
-            positive |= 1 << conjunct.index
-        elif isinstance(conjunct, Not) and isinstance(conjunct.child, Var):
-            negative |= 1 << conjunct.child.index
-    return positive, negative
-
-
 def _pairwise_contradictory(children: tuple[Formula, ...]) -> bool:
     """True when every two children hold some unit literal with opposite
-    signs, so no assignment satisfies two of them."""
-    seen: list[tuple[int, int]] = []
+    signs, so no assignment satisfies two of them.  A child's unit literals
+    are its top-level conjuncts that are literals; a literal is its own only
+    conjunct."""
+    seen: list[tuple[int, int]] = []  # masks of positive and negated unit literals
     for child in children:
-        positive, negative = _unit_literals(child)
+        positive = negative = 0
+        for conjunct in child.children if type(child) is And else (child,):
+            if type(conjunct) is Var:
+                positive |= 1 << conjunct.index
+            elif type(conjunct) is Not and type(conjunct.child) is Var:
+                negative |= 1 << conjunct.child.index
         for other_positive, other_negative in seen:
             if not (positive & other_negative or negative & other_positive):
                 return False

@@ -15,7 +15,7 @@ capped_continue keeps exactly that many nodes and descends anyway.
 Within a level, children are generated True branch before False branch with
 parents in level order, and dedup keeps the first occurrence, so traces are
 deterministic.  Constant nodes ride along unchanged until every node is
-constant; the verdict is whether any surviving leaf evaluates to True.
+constant; the verdict is whether any surviving leaf is True.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ from .errors import EncodingInvariantBroken, InvalidBound
 from .formula import (
     Const,
     Formula,
-    evaluate,
     serialize,
     self_reduce,
     serialized_length,
@@ -164,7 +163,7 @@ def _walk_levels(
             frontier = levels[-1].nodes = frontier[: budget + 1]
             capped_levels.append(depth)
         if all(isinstance(node, Const) for node, _ in frontier):  # also when all were pruned
-            verdict = any(evaluate(node, {}) for node, _ in frontier)
+            verdict = any(node.value for node, _ in frontier)
             outcome = OUTCOME_SAT if verdict else OUTCOME_UNSAT
             break
         depth += 1

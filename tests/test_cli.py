@@ -566,3 +566,37 @@ class TestDecidersAtSixtyFourVariables:
         argv = ["decide", decider, "--random", "vars=64", "count=3", "seed=1", "--no-verify"]
         assert main(argv) == 0
         assert capsys.readouterr().out.count(" -> ") == 3
+
+
+class TestNodeBudgetBound:
+    def test_the_generator_runs_at_the_bound(self):
+        from selfred.generate import MAX_NODE_BUDGET
+
+        # Every variable takes its one leaf, so the formula has exactly
+        # MAX_NODE_BUDGET leaves.
+        formula = generate_random(MAX_NODE_BUDGET, MAX_NODE_BUDGET, 0)
+        assert serialize(formula).count("x") == MAX_NODE_BUDGET
+        with pytest.raises(InvalidParams, match=f"<= {MAX_NODE_BUDGET}"):
+            generate_random(1, MAX_NODE_BUDGET + 1, 0)
+
+    def test_gen_at_the_bound(self, tmp_path):
+        from selfred.generate import MAX_NODE_BUDGET
+
+        out = tmp_path / "g.txt"
+        argv = ["gen", "--vars", "1", "--budget", str(MAX_NODE_BUDGET), "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_text().count("\n") == 1
+
+    def test_one_above_the_bound_exits_2_on_both_paths(self, capsys):
+        from selfred.generate import MAX_NODE_BUDGET
+
+        above = MAX_NODE_BUDGET + 1
+        for argv in (
+            ["gen", "--vars", "3", "--budget", str(above)],
+            ["decide", "tally", "--random", "vars=3", f"budget={above}"],
+            ["count", "enum", "--random", "vars=3", f"budget={above}", "--no-verify"],
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert f"node_budget must be <= {MAX_NODE_BUDGET}" in captured.err
+            assert captured.out == ""

@@ -957,3 +957,65 @@ class TestReimport:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "1"
+
+
+def recursive_evaluate(formula, assignment):
+    """The recursive evaluator that evaluate() was before it became the
+    truth table over one assignment: the reference for it."""
+    match formula:
+        case Const(value):
+            return value
+        case Var(index):
+            return assignment[index]
+        case Not(child):
+            return not recursive_evaluate(child, assignment)
+        case And(children):
+            return all(recursive_evaluate(c, assignment) for c in children)
+        case Or(children):
+            return any(recursive_evaluate(c, assignment) for c in children)
+
+
+# Values of either truthiness that are not bools.
+TRUTHY_OR_NOT = st.sampled_from([True, False, 0, 1, 2, -1, "", "a", None, [], [0], 0.0, 0.5])
+
+
+class TestEvaluateByTruthTable:
+    @settings(max_examples=300, deadline=None)
+    @given(formulas(max_vars=6, max_leaves=14), st.data())
+    def test_matches_the_recursive_evaluator(self, formula, data):
+        assignment = {i: data.draw(TRUTHY_OR_NOT) for i in variables(formula)}
+        result = evaluate(formula, assignment)
+        assert type(result) is bool
+        assert result == bool(recursive_evaluate(formula, assignment))
+
+    @settings(max_examples=200, deadline=None)
+    @given(formulas(max_vars=6, max_leaves=14), st.dictionaries(st.integers(1, 12), TRUTHY_OR_NOT))
+    def test_extra_keys_are_ignored(self, formula, extra):
+        for values in all_assignments(variables(formula)):
+            assignment = {**extra, **values}
+            assert evaluate(formula, assignment) == bool(recursive_evaluate(formula, assignment))
+
+    @settings(max_examples=300, deadline=None)
+    @given(formulas(max_vars=6, max_leaves=14), st.data())
+    def test_a_missing_variable_is_named(self, formula, data):
+        occurring = sorted(variables(formula))
+        if not occurring:
+            return
+        missing = data.draw(st.sampled_from(occurring))
+        assignment = {i: data.draw(st.booleans()) for i in occurring if i != missing}
+        try:
+            expected = bool(recursive_evaluate(formula, assignment))
+        except KeyError as exc:  # reached the missing variable: the same one is named
+            assert exc.args[0] == missing
+            with pytest.raises(IncompleteAssignment, match=f"missing variable x{missing}$"):
+                evaluate(formula, assignment)
+        else:  # short-circuited before it, in the same child order
+            assert evaluate(formula, assignment) == expected
+
+    def test_examples(self):
+        formula = parse("x1 & !x2 | x3")
+        assert evaluate(formula, {1: 1, 2: 0, 3: 0}) is True
+        assert evaluate(formula, {1: "yes", 2: "no", 3: None}) is False
+        assert evaluate(Const(True), {}) is True and evaluate(Const(False), {}) is False
+        with pytest.raises(IncompleteAssignment, match="x2"):
+            evaluate(formula, {1: True, 3: False})

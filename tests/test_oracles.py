@@ -771,3 +771,107 @@ class TestStopAtModel:
         asked = exact_counts_only(monkeypatch)
         assert outputs("exact") == stopping
         assert asked and all(asked)  # each call asked to stop, and was counted exactly
+
+
+# Every shipped oracle, with the one query method a caller asks it through.
+SIMULATED_ORACLES = {
+    "honest_selector": (honest_selector, "choose"),
+    "adversarial_selector": (lambda: adversarial_selector(3), "choose"),
+    **{
+        f"tally_{style}": (lambda style=style: simulated_tally_reduction(style), "map")
+        for style in TALLY_STYLES
+    },
+    **{
+        f"sparse_{style}": (lambda style=style: simulated_sparse_coreduction(style, seed=2), "map")
+        for style in SPARSE_STYLES
+    },
+    **{
+        f"enumerator_{style}": (lambda style=style: honest_two_enumerator(style, seed=4), "enumerate")
+        for style in ENUMERATOR_STYLES
+    },
+}
+
+
+def counted_exact_counts(monkeypatch) -> Counter:
+    """Record the canonical text of every formula the oracles ask the
+    counter about."""
+    original = oracles_module.exact_model_count
+    asked = Counter()
+
+    def recorded(formula, *args, **kwargs):
+        asked[serialize(formula)] += 1
+        return original(formula, *args, **kwargs)
+
+    monkeypatch.setattr(oracles_module, "exact_model_count", recorded)
+    return asked
+
+
+def repeated_queries(corpus) -> list:
+    """Formulas and their split children, each also as a fresh copy of the
+    same text, so every text is asked more than once by distinct objects."""
+    queries = []
+    for formula in corpus:
+        nodes = [formula]
+        if variable_mask(formula):
+            nodes += [child for child in self_reduce(formula)[:2] if not isinstance(child, Const)]
+        for node in nodes:
+            queries += [node, parse(serialize(node))]
+    return queries
+
+
+class TestOneCountPerText:
+    @pytest.mark.parametrize("name", SIMULATED_ORACLES)
+    def test_direct_queries(self, name, monkeypatch, corpus):
+        asked = counted_exact_counts(monkeypatch)
+        build, method = SIMULATED_ORACLES[name]
+        oracle = build()
+        queries = repeated_queries(corpus[:60])
+        asks = 0
+        for _ in range(2):
+            if method == "choose":  # neighbouring pairs, equal-text pairs among them
+                for a, b in zip(queries, queries[1:]):
+                    oracle.choose(a, b)
+                    asks += 1
+            else:
+                for query in queries:
+                    getattr(oracle, method)(query)
+                    asks += 1
+        assert oracle.call_counter == asks  # every query counts, memo hit or not
+        assert asked and max(asked.values()) == 1
+        assert set(asked) <= {serialize(query) for query in queries}
+
+    @pytest.mark.parametrize("name", SIMULATED_ORACLES)
+    def test_decider_runs(self, name, monkeypatch, corpus):
+        asked = counted_exact_counts(monkeypatch)
+        build, method = SIMULATED_ORACLES[name]
+        oracle = build()
+        for formula in corpus[:60]:
+            if method == "choose":
+                decide_via_selector(formula, oracle)
+            elif method == "enumerate":
+                count_via_enumerator(formula, oracle)
+            elif isinstance(oracle, TallyReductionOracle):
+                decide_via_tally(formula, oracle)
+            else:
+                decide_via_sparse(formula, oracle, "capped_continue")
+        assert oracle.call_counter > 0
+        assert asked and max(asked.values()) == 1
+
+
+class TestSparseArrivalNumbering:
+    @pytest.mark.parametrize("style", SPARSE_STYLES)
+    def test_satisfiable_texts_numbered_by_first_arrival(self, style, corpus):
+        oracle = simulated_sparse_coreduction(style, seed=6)
+        images: dict[str, str] = {}  # text -> its first image
+        arrivals: list[str] = []  # satisfiable texts, in order of first arrival
+        for query in repeated_queries(corpus):
+            text, image = serialize(query), oracle.map(query)
+            assert images.setdefault(text, image) == image  # functional
+            if not brute_force_sat(query):
+                assert image and set(image) == {"1"} and len(image) <= 16
+            elif text not in arrivals:
+                arrivals.append(text)
+                assert image == "0" + format(len(arrivals) - 1, "b")
+        assert len(arrivals) > 1
+        satisfiable = [images[text] for text in arrivals]
+        assert len(set(satisfiable)) == len(satisfiable)  # pairwise distinct
