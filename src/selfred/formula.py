@@ -21,9 +21,9 @@ variable ``SELFRED_BRUTE_LIMIT`` (``brute_force_limit``).  ``Not``/``And``/
 ``Or`` nodes cache their variable mask, canonical text and simplified mark,
 set to sentinels at construction and filled in on first use, idempotently,
 so formulas stay safe to share across threads; a mask too wide to keep
-stays unset, and leaves cache nothing.  Only this module walks whole trees.
-Walkers dispatch on exact classes and raise ``MalformedInput`` for the rest,
-node subclasses included.
+stays ``None``, and leaves cache nothing.  Only this module walks whole
+trees or reads formula text.  Walkers dispatch on exact classes and raise
+``MalformedInput`` for the rest, node subclasses included.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import functools
 import operator
 import os
 import re
-from contextlib import suppress
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Mapping
@@ -56,6 +56,8 @@ MAX_NESTING = 200
 _CACHED_MASK_BITS = 1024
 # Longest variable index that formula text and DIMACS input may spell out.
 MAX_INDEX_DIGITS = 6
+# A variable as canonical text spells it; the group is its index.
+_INDEX = re.compile(r"x(\d+)")
 # Variables whose assignments one truth-table block spans: their columns are
 # 2^16 bits (8 KB), and every other variable is constant within a block.
 _BLOCK_VARS = 16
@@ -151,25 +153,19 @@ def variable_mask(formula: Formula) -> int:
         return 1 << formula.index
     if cls is Const:
         return 0
-    try:
-        mask = formula._mask
-    except AttributeError:  # a mask too wide to keep, or not a formula
-        mask = None
+    if cls is not Not and cls is not And and cls is not Or:
+        raise _not_a_formula(formula)
+    mask = formula._mask
     if mask is not None:
         return mask
     if cls is Not:
         mask = variable_mask(formula.child)
-    elif cls is And or cls is Or:
+    else:
         mask = 0
         for child in formula.children:
             mask |= variable_mask(child)
-    else:
-        raise _not_a_formula(formula)
-    if mask.bit_length() <= _CACHED_MASK_BITS:
+    if mask.bit_length() <= _CACHED_MASK_BITS:  # a wider one stays None
         _set_mask(formula, mask)
-    else:
-        with suppress(AttributeError):  # unset already, by this call or another
-            object.__delattr__(formula, "_mask")
     return mask
 
 
@@ -188,22 +184,28 @@ def serialize(formula: Formula) -> str:
         return f"x{formula.index}"
     if cls is Const:
         return "T" if formula.value else "F"
-    try:
-        text = formula._text
-    except AttributeError:  # not a formula
-        text = None
+    if cls is not Not and cls is not And and cls is not Or:
+        raise _not_a_formula(formula)
+    text = formula._text
     if text is not None:
         return text
     if cls is Not:
         inner = serialize(formula.child)
         text = f"!({inner})" if isinstance(formula.child, _Connective) else "!" + inner
-    elif cls is And or cls is Or:
+    else:
         parts = [f"({serialize(c)})" if type(c) is Or else serialize(c) for c in formula.children]
         text = (" & " if cls is And else " | ").join(parts)
-    else:
-        raise _not_a_formula(formula)
     _set_text(formula, text)
     return text
+
+
+def _most_frequent_variable(formula: Formula) -> int:
+    """The variable with the most occurrences in a formula that holds one,
+    counted in its canonical text."""
+    counts = Counter(map(int, _INDEX.findall(serialize(formula))))
+    # Ties break toward the highest index: fresh variables sit above renamed
+    # operand ranges, and splitting them decomposes combined formulas.
+    return max(counts, key=lambda index: (counts[index], index))
 
 
 def serialized_length(formula: Formula) -> int:
@@ -505,7 +507,10 @@ def _split_simplified(formula: Formula, index: int) -> tuple[Formula, Formula]:
 
 
 def substitute(formula: Formula, index: int, value: bool) -> Formula:
-    """Assign one variable and simplify: one side of ``split``."""
+    """F[x_index := value], simplified: one side of ``split``.  Kept public
+    as the one-variable assignment that the paper's reductions are stated
+    in; nothing in the package needs it, since every split wants both
+    sides."""
     return split(formula, index)[0 if value else 1]
 
 

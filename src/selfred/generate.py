@@ -54,14 +54,11 @@ def generate_random(var_count: int, node_budget: int, seed: int) -> Formula:
     return nodes[0]
 
 
-def generate_corpus(
-    count: int, max_vars: int, node_budget_per_var: int = 2, seed: int = 0
-) -> list[Formula]:
-    """Batch of generated formulas with variable counts cycling 1..max_vars."""
+def generate_corpus(count: int, max_vars: int, seed: int = 0) -> list[Formula]:
+    """Batch of generated formulas with variable counts cycling 1..max_vars,
+    each with a node budget of 2 per variable plus 2."""
     corpus = []
     for i in range(count):
         var_count = (i % max_vars) + 1
-        corpus.append(
-            generate_random(var_count, node_budget_per_var * var_count + 2, seed * 100003 + i)
-        )
+        corpus.append(generate_random(var_count, 2 * var_count + 2, seed * 100003 + i))
     return corpus

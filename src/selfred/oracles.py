@@ -16,16 +16,16 @@ never depend on interleaving; the counter is not atomic).
 Answers that break a contract's form raise ``OracleContractViolation``: a
 selector choice that is not one of its two arguments (by canonical text), an
 enumerator answer that is not a list of at most two non-negative ints, an
-image that is not a string.  Nothing here walks a whole tree: the counter
-finds its split variable in its memo key text.
+image that is not a string.  Nothing here walks a whole tree or looks inside
+formula text, which serves only as a key: the counter takes its split
+variable from ``selfred.formula``, and counts a conjunction's components in
+the order of their first conjunct.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-import re
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, get_args
 
@@ -37,6 +37,7 @@ from .formula import (
     Not,
     Or,
     Var,
+    _most_frequent_variable,
     brute_force_count,
     brute_force_sat,
     serialize,
@@ -314,7 +315,6 @@ def honest_two_enumerator(style: str, seed: int = 0) -> TwoEnumeratorOracle:
 # at its first component without one.
 _BIT_PARALLEL_LIMIT = 18
 _DEFAULT_COUNT_BUDGET = 50_000
-_INDEX = re.compile(r"x(\d+)")
 
 
 def exact_model_count(
@@ -365,7 +365,7 @@ def _component_count(
         if cls is Or and (stop_at_model or _pairwise_contradictory(formula.children)):
             parts, slots = formula.children, k
         else:
-            parts, slots = split(formula, _most_frequent_variable(key)), k - 1
+            parts, slots = split(formula, _most_frequent_variable(formula)), k - 1
         result = 0
         for part in parts:
             part_count = _component_count(part, memo, remaining, stop_at_model)
@@ -377,51 +377,30 @@ def _component_count(
 
 
 def _disjoint_groups(children: tuple[Formula, ...]) -> list[list[Formula]]:
-    """The conjuncts in variable-disjoint groups.  Conjunct i starts group i
-    and takes in every earlier group it meets, found by a union-find by
-    variable.  Groups come in the order of their newest conjunct, and a group
-    lists the groups it took in, newest first, then its own conjunct."""
-    parent = list(range(len(children)))  # a group points to the one that took it in
-    masks: list[int] = []  # of each group still open
-    taken: dict[int, list[int]] = {}
-    owner: dict[int, int] = {}  # variable -> the group it first occurred in
-    union = 0  # of every group's mask
+    """The conjuncts in variable-disjoint groups, by a union-find over
+    conjuncts: each conjunct joins the first conjunct that holds each of its
+    variables.  Groups come in the order of their first conjunct, and each
+    lists its conjuncts in order."""
+    parent = list(range(len(children)))  # conjunct -> one in its group
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    first: dict[int, int] = {}  # variable -> the first conjunct that holds it
     for i, child in enumerate(children):
         mask = variable_mask(child)
-        met = mask & union
-        fresh = mask & ~union
-        while fresh:
-            low = fresh & -fresh
-            owner[low.bit_length() - 1] = i
-            fresh ^= low
-        union |= mask
-        roots = []
-        while met:
-            root = owner[(met & -met).bit_length() - 1]
-            while parent[root] != root:
-                parent[root] = root = parent[parent[root]]
-            roots.append(root)
-            parent[root] = i
-            met &= ~masks[root]
-            mask |= masks[root]
-            masks[root] = 0
-        masks.append(mask)
-        if roots:
-            taken[i] = sorted(roots, reverse=True)
-    groups = []
-    for root, up in enumerate(parent):
-        if up != root:
-            continue
-        members, stack = [], [root]
-        while stack:  # ~i marks conjunct i, after the groups its group took in
-            item = stack.pop()
-            if item < 0:
-                members.append(children[~item])
-            else:
-                stack.append(~item)
-                stack.extend(reversed(taken.get(item, ())))
-        groups.append(members)
-    return groups
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            other = first.setdefault(low.bit_length() - 1, i)
+            if other != i:
+                parent[root(i)] = root(other)
+    groups: dict[int, list[Formula]] = {}  # by root, in first-conjunct order
+    for i, child in enumerate(children):
+        groups.setdefault(root(i), []).append(child)
+    return list(groups.values())
 
 
 def _pairwise_contradictory(children: tuple[Formula, ...]) -> bool:
@@ -442,11 +421,3 @@ def _pairwise_contradictory(children: tuple[Formula, ...]) -> bool:
                 return False
         seen.append((positive, negative))
     return True
-
-
-def _most_frequent_variable(text: str) -> int:
-    """The variable with the most occurrences in a formula's canonical text."""
-    counts = Counter(map(int, _INDEX.findall(text)))
-    # Ties break toward the highest index: fresh variables sit above renamed
-    # operand ranges, and splitting them decomposes combined formulas.
-    return max(counts, key=lambda index: (counts[index], index))

@@ -27,7 +27,6 @@ class PathStep:
 @dataclass(frozen=True)
 class PathTrace:
     steps: tuple[PathStep, ...]
-    final_value: bool
     oracle_calls: int
 
     def assignment(self) -> dict[int, bool]:
@@ -41,7 +40,7 @@ def decide_via_selector(
     """Decide satisfiability with exactly one selector call per variable."""
     current = simplify(formula)
     if isinstance(current, Const):
-        return current.value, PathTrace(steps=(), final_value=current.value, oracle_calls=0)
+        return current.value, PathTrace(steps=(), oracle_calls=0)
 
     steps: list[PathStep] = []
     calls_before = selector.call_counter
@@ -54,10 +53,5 @@ def decide_via_selector(
         steps.append(PathStep(split_var, current is true_child, serialize(current)))
 
     assert isinstance(current, Const)
-    verdict = current.value
-    trace = PathTrace(
-        steps=tuple(steps),
-        final_value=verdict,
-        oracle_calls=selector.call_counter - calls_before,
-    )
-    return verdict, trace
+    trace = PathTrace(steps=tuple(steps), oracle_calls=selector.call_counter - calls_before)
+    return current.value, trace

@@ -550,6 +550,15 @@ class TestNesting:
         level = "!" * MAX_NESTING + "x1"
         assert variables(parse(" & ".join([level] * 3))) == {1}
 
+    @pytest.mark.xfail(raises=RecursionError, strict=True, reason="walkers recurse per level")
+    @pytest.mark.parametrize("walk", [serialize, variable_mask, exact_model_count])
+    def test_trees_built_deeper_in_code_raise_a_named_error(self, walk):
+        formula = Var(1)
+        for _ in range(2000):
+            formula = Not(formula)
+        with pytest.raises(SelfReducibilityError):
+            walk(formula)
+
 
 # Uncached reference definitions of the kernel, as the module had them
 # before nodes carried caches; the cached functions must agree with them.
@@ -684,7 +693,7 @@ class TestCachedKernel:
         formula = parse("(x5000 | !x3) & (x7000 | x5000) & !x2")
         for _ in range(2):
             assert variables(formula) == {2, 3, 5000, 7000}
-            assert not hasattr(formula, "_mask")  # too wide to keep
+            assert formula._mask is None  # too wide to keep
             assert variable_mask(formula) == (1 << 2) | (1 << 3) | (1 << 5000) | (1 << 7000)
         for index in (3, 5000, 7000):
             assert substitute(formula, index, False) == reference_substitute(formula, index, False)

@@ -1,4 +1,3 @@
-import operator
 import time
 from collections import Counter
 from itertools import combinations
@@ -17,6 +16,7 @@ from selfred.formula import (
     Not,
     Or,
     Var,
+    _most_frequent_variable,
     brute_force_count,
     brute_force_sat,
     parse,
@@ -24,6 +24,7 @@ from selfred.formula import (
     serialize,
     serialized_length,
     variable_mask,
+    variables,
 )
 from selfred.generate import generate_corpus, generate_random
 from selfred.oracles import (
@@ -502,23 +503,41 @@ class TestExclusiveDisjunctions:
             assert combined_tables <= operand_tables + 2
 
 
-def disjoint_groups_by_rebuild(children):
-    """The component split as it was first written: the list of groups is
-    rebuilt for every conjunct, quadratic in the conjuncts."""
-    groups = []
-    for child in children:
-        child_mask = variable_mask(child)
-        merged_mask, merged_children = child_mask, [child]
-        kept = []
-        for group_mask, group_children in groups:
-            if group_mask & child_mask:
-                merged_mask |= group_mask
-                merged_children = group_children + merged_children
-            else:
-                kept.append((group_mask, group_children))
-        kept.append((merged_mask, merged_children))
-        groups = kept
-    return [children_ for _, children_ in groups]
+def components_by_search(children) -> list[list[int]]:
+    """Reference component split: conjunct positions grouped by a search that
+    links two conjuncts holding a common variable, each group in conjunct
+    order and the groups in the order of their first conjunct."""
+    holders = {}  # variable -> positions of the conjuncts that hold it
+    for position, child in enumerate(children):
+        for index in variables(child):
+            holders.setdefault(index, []).append(position)
+    seen, groups = set(), []
+    for start in range(len(children)):
+        if start in seen:
+            continue
+        seen.add(start)
+        group, frontier = [], [start]
+        while frontier:
+            position = frontier.pop()
+            group.append(position)
+            for index in variables(children[position]):
+                for other in holders.pop(index, ()):
+                    if other not in seen:
+                        seen.add(other)
+                        frontier.append(other)
+        groups.append(sorted(group))
+    return groups
+
+
+def check_components(children):
+    groups = oracles_module._disjoint_groups(tuple(children))
+    expected = [[children[i] for i in group] for group in components_by_search(children)]
+    # The same partition, as multisets of conjunct identities ...
+    assert sorted(sorted(map(id, group)) for group in groups) == sorted(
+        sorted(map(id, group)) for group in expected
+    )
+    # ... with each group in conjunct order, the groups by their first conjunct.
+    assert [list(map(id, group)) for group in groups] == [list(map(id, group)) for group in expected]
 
 
 def most_frequent_by_walk(formula) -> int:
@@ -537,13 +556,14 @@ def most_frequent_by_walk(formula) -> int:
 
 
 class TestComponentSplit:
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(bodies(indices=(1, 2, 3, 4, 5, 6)), max_size=8))
-    def test_same_groups_as_the_rebuilding_split(self, children):
-        groups = oracles_module._disjoint_groups(tuple(children))
-        expected = disjoint_groups_by_rebuild(children)
-        assert groups == expected
-        assert all(map(operator.is_, sum(groups, []), sum(expected, [])))
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(bodies(indices=tuple(range(1, 10))), max_size=12))
+    def test_groups_in_first_conjunct_order(self, children):
+        check_components(children)
+
+    def test_a_conjunct_joining_two_groups_keeps_conjunct_order(self):
+        children = [Var(1), Var(2), And(Var(1), Var(2))]
+        assert oracles_module._disjoint_groups(tuple(children)) == [children]
 
     def test_many_disjoint_literals_in_linear_time(self):
         cube = And(*[Var(i) if i % 2 else Not(Var(i)) for i in range(1, 5001)])
@@ -554,8 +574,7 @@ class TestComponentSplit:
 
 class TestMostFrequentVariable:
     def check(self, formula):
-        text = serialize(formula)
-        assert oracles_module._most_frequent_variable(text) == most_frequent_by_walk(formula)
+        assert _most_frequent_variable(formula) == most_frequent_by_walk(formula)
 
     def test_random_formulas(self):
         for n in (3, 9, 12, 25):
@@ -577,43 +596,11 @@ class TestMostFrequentVariable:
         self.check(formula)
 
 
-def disjoint_groups_by_scan(children):
-    """The component split before the union-find: a conjunct that meets a
-    group scans every group, quadratic in the conjuncts."""
-    groups = []
-    union = 0
-    for child in children:
-        child_mask = variable_mask(child)
-        merged_mask, merged_children = child_mask, [child]
-        if child_mask & union:
-            kept = []
-            for group_mask, group_children in groups:
-                if group_mask & child_mask:
-                    merged_mask |= group_mask
-                    merged_children = group_children + merged_children
-                else:
-                    kept.append((group_mask, group_children))
-            groups = kept
-        groups.append((merged_mask, merged_children))
-        union |= child_mask
-    return [children_ for _, children_ in groups]
-
-
 class TestUnionFindSplit:
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(bodies(indices=tuple(range(1, 10))), max_size=12))
-    def test_same_groups_in_the_same_order(self, children):
-        groups = oracles_module._disjoint_groups(tuple(children))
-        expected = disjoint_groups_by_scan(children)
-        assert groups == expected
-        assert all(map(operator.is_, sum(groups, []), sum(expected, [])))
-
     def test_chains_and_high_indices(self):
         chain = [Or(Var(i), Var(i + 1)) for i in range(3000, 1, -1)]
         for children in (chain, chain[::-1], [Var(5000), Not(Var(5000)), Var(1), Var(2000)]):
-            assert oracles_module._disjoint_groups(tuple(children)) == disjoint_groups_by_scan(
-                children
-            )
+            check_components(children)
 
     def test_conjuncts_meeting_earlier_groups_in_linear_time(self):
         n = 5000
