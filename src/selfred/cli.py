@@ -2,27 +2,36 @@
 formulas, verify against brute force, and emit JSONL traces plus CSV
 summaries.
 
-Each algorithm is one entry of ``ALGORITHMS``.  ``run`` hands a generator of
-(record, trace rows) pairs to ``write_outputs``, which writes each formula's
-trace rows and summary line as the formula finishes, so a run holds one
-formula's rows at a time.  Both files are written beside their paths and
-replace them only when every formula has finished; a run that fails leaves
-the files it would have replaced as they were.  Identical configurations
-(flags and seeds) produce byte-identical trace and summary files; wall time
-is reported on the console only.
+Each algorithm is one entry of ``ALGORITHMS``: its ``solve`` returns what the
+decider or the counter returned, and its ``report`` turns that into the
+result and the formula's trace lines.  Each trace line is built as its final
+text, with the keys of its row kind (path step, level or linkage) written
+out in sorted order and strings escaped by ``json.dumps``'s own
+``encode_basestring_ascii``, so it is exactly ``json.dumps(row,
+sort_keys=True)`` of the row it stands for; no row dict is built.  Each
+summary line is one f-string in ``SUMMARY_COLUMNS`` order, exactly what
+``csv.writer`` would write for the record (no cell ever needs quoting).
+
+``run`` hands a generator of (record, trace lines) pairs to
+``write_outputs``, which writes each formula's trace lines and summary line
+as the formula finishes, so a run holds one formula's lines at a time.  Both
+files are written beside their paths and replace them only when every
+formula has finished; a run that fails leaves the files it would have
+replaced as they were.  Identical configurations (flags and seeds) produce
+byte-identical trace and summary files; wall time is reported on the console
+only.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import json
 import os
 import stat
 import sys
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
@@ -95,58 +104,85 @@ class RunRecord:
     wall_time: float
 
 
-def _path_result(verdict: bool, trace) -> tuple:
-    rows = [
-        {
-            "depth": depth,
-            "split_var": step.split_var,
-            "branch": step.chosen_branch,
-            "formula": step.chosen_formula,
-        }
+# The report functions below write each trace line as json.dumps(row,
+# sort_keys=True) would: keys in sorted order, ", " and ": " separators,
+# strings through _json_str, ints as str() gives them, bools as true/false.
+# ``head`` is the line up to the key after "algorithm", the same for every line
+# of a run.
+
+
+def _path_result(raw: tuple, head: str, formula_id: int) -> tuple:
+    verdict, trace = raw
+    middle = f', "formula_id": {formula_id}, "split_var": '
+    lines = [
+        f'{head}"branch": {"true" if step.chosen_branch else "false"}, "depth": {depth}, '
+        f'"formula": {_json_str(step.chosen_formula)}{middle}{step.split_var}}}\n'
         for depth, step in enumerate(trace.steps)
     ]
-    return verdict, trace.oracle_calls, 1, rows
+    return verdict, trace.oracle_calls, 1, lines
 
 
-def _level_result(verdict: bool, stats) -> tuple:
-    rows = []
+def _prune_events(events) -> str:
+    return ", ".join(
+        [
+            f'{{"discarded": {_json_str(event.discarded)}, "kind": {_json_str(event.kind)}, '
+            f'"surviving_image": '
+            f'{"null" if event.surviving_image is None else _json_str(event.surviving_image)}}}'
+            for event in events
+        ]
+    )
+
+
+def _level_result(raw: tuple, head: str, formula_id: int) -> tuple:
+    verdict, stats = raw
+    middle = f', "formula_id": {formula_id}, "images": ['
+    sparse = stats.threshold is not None
+    end = f'], "threshold": {stats.threshold}}}\n' if sparse else "]}\n"
+    flags = ""
+    lines = []
     for level, (pre, post) in zip(stats.levels, stats.widths):
-        row = {
-            "depth": level.depth,
-            "pre_prune_width": pre,
-            "post_prune_width": post,
-            "images": level.images,
-            "prune_events": [vars(event) for event in level.prune_events],
-        }
-        if stats.threshold is not None:  # sparse
-            row["threshold"] = stats.threshold
-            row["crossed"] = stats.crossed_at is not None and level.depth >= stats.crossed_at
-            row["capped"] = level.depth in stats.capped_levels
-        rows.append(row)
-    return verdict, stats.oracle_calls, stats.max_width, rows
+        depth = level.depth
+        if sparse:
+            crossed = stats.crossed_at is not None and depth >= stats.crossed_at
+            flags = (
+                f'"capped": {"true" if depth in stats.capped_levels else "false"}, '
+                f'"crossed": {"true" if crossed else "false"}, '
+            )
+        lines.append(
+            f'{head}{flags}"depth": {depth}{middle}{", ".join(map(_json_str, level.images))}], '
+            f'"post_prune_width": {post}, "pre_prune_width": {pre}, '
+            f'"prune_events": [{_prune_events(level.prune_events)}{end}'
+        )
+    return verdict, stats.oracle_calls, stats.max_width, lines
 
 
 def _solve_count(formula: Formula, oracle) -> tuple:
     before = oracle.call_counter
     count, chain = count_via_enumerator(formula, oracle)
-    rows = [
-        {
-            "depth": linkage.depth,
-            "child": serialize(linkage.child),
-            "triples": [[t.a, t.b, t.c] for t in linkage.triples],
-            "linkage": sorted(linkage.mapping.items()),
-        }
+    return count, chain, oracle.call_counter - before
+
+
+def _count_result(raw: tuple, head: str, formula_id: int) -> tuple:
+    count, chain, oracle_calls = raw
+    middle = f', "formula_id": {formula_id}, "linkage": ['
+    lines = [
+        f'{head}"child": {_json_str(serialize(linkage.child))}, "depth": {linkage.depth}{middle}'
+        f'{", ".join([f"[{key}, {value}]" for key, value in sorted(linkage.mapping.items())])}], '
+        f'"triples": [{", ".join([f"[{t.a}, {t.b}, {t.c}]" for t in linkage.triples])}]}}\n'
         for linkage in chain
     ]
-    return count, oracle.call_counter - before, None, rows
+    return count, oracle_calls, None, lines
 
 
 @dataclass(frozen=True)
 class Algorithm:
     styles: tuple[str, ...]  # the default style first
     make_oracle: Callable[[ExperimentConfig], object]
-    # (config, oracle, formula) -> (result, oracle calls, max width, trace rows)
+    # (config, oracle, formula) -> what the decider or the counter returned
     solve: Callable[[ExperimentConfig, object, Formula], tuple]
+    # (what solve returned, trace line head, formula id)
+    #   -> (result, oracle calls, max width, trace lines)
+    report: Callable[[tuple, str, int], tuple]
     # (formula, exhaustive-enumeration limit) -> brute-force answer
     reference: Callable[[Formula, int], bool | int]
 
@@ -157,45 +193,54 @@ ALGORITHMS = {
     "selector": Algorithm(
         SELECTOR_STYLES,
         lambda c: honest_selector() if c.oracle_style == "honest" else adversarial_selector(c.seed),
-        lambda c, oracle, formula: _path_result(*decide_via_selector(formula, oracle)),
+        lambda c, oracle, formula: decide_via_selector(formula, oracle),
+        _path_result,
         lambda formula, limit: brute_force_sat(formula, limit=limit),
     ),
     "tally": Algorithm(
         TALLY_STYLES,
         lambda c: simulated_tally_reduction(c.oracle_style),
-        lambda c, oracle, formula: _level_result(*decide_via_tally(formula, oracle)),
+        lambda c, oracle, formula: decide_via_tally(formula, oracle),
+        _level_result,
         lambda formula, limit: brute_force_sat(formula, limit=limit),
     ),
     "sparse": Algorithm(
         SPARSE_STYLES,
         lambda c: simulated_sparse_coreduction(c.oracle_style, seed=c.seed),
-        lambda c, oracle, formula: _level_result(*decide_via_sparse(formula, oracle, c.mode)),
+        lambda c, oracle, formula: decide_via_sparse(formula, oracle, c.mode),
+        _level_result,
         lambda formula, limit: brute_force_sat(formula, limit=limit),
     ),
     "enum_count": Algorithm(
         ENUMERATOR_STYLES,
         lambda c: honest_two_enumerator(c.oracle_style, seed=c.seed),
         lambda c, oracle, formula: _solve_count(formula, oracle),
+        _count_result,
         lambda formula, limit: brute_force_count(formula, limit=limit),
     ),
 }
 
 
 def _run_one(
-    config: ExperimentConfig, oracle, formula_id: int, formula: Formula, limit: int | None
-) -> tuple[RunRecord, list[dict]]:
+    config: ExperimentConfig,
+    oracle,
+    head: str,
+    formula_id: int,
+    formula: Formula,
+    var_count: int,
+    limit: int | None,
+) -> tuple[RunRecord, list[str]]:
     algorithm = ALGORITHMS[config.algorithm]
     start = time.perf_counter()
-    result, oracle_calls, max_width, trace_rows = algorithm.solve(config, oracle, formula)
-    for row in trace_rows:
-        row.update(formula_id=formula_id, algorithm=config.algorithm)
+    raw = algorithm.solve(config, oracle, formula)
+    result, oracle_calls, max_width, trace_lines = algorithm.report(raw, head, formula_id)
     reference = algorithm.reference(formula, limit) if config.verify else None
     elapsed = time.perf_counter() - start
     agree = None if reference is None else result == reference
     record = RunRecord(
         formula_id=formula_id,
         formula=serialize(formula),
-        vars=variable_mask(formula).bit_count(),
+        vars=var_count,
         algorithm=config.algorithm,
         oracle_style=config.oracle_style,
         seed=config.seed,
@@ -206,7 +251,7 @@ def _run_one(
         max_width=max_width,
         wall_time=elapsed,
     )
-    return record, trace_rows
+    return record, trace_lines
 
 
 def _cell(value) -> str:
@@ -215,11 +260,6 @@ def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
-
-
-# One encoder for every trace row; its output is that of
-# json.dumps(row, sort_keys=True).
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def _open_output(path: str, newline: str, opened: list) -> TextIO:
@@ -253,10 +293,10 @@ def _open_output(path: str, newline: str, opened: list) -> TextIO:
 
 
 def write_outputs(
-    results: Iterable[tuple[RunRecord, list[dict]]], config: ExperimentConfig
+    results: Iterable[tuple[RunRecord, list[str]]], config: ExperimentConfig
 ) -> list[RunRecord]:
-    """Consume the (record, trace rows) pairs as they are produced, writing
-    each formula's rows and summary line as it arrives, and return the
+    """Consume the (record, trace lines) pairs as they are produced, writing
+    each formula's trace lines and summary line as it arrives, and return the
     records.
 
     The trace and the summary go to new files beside their paths, which
@@ -269,16 +309,19 @@ def write_outputs(
         if config.trace_path:
             trace = _open_output(config.trace_path, "\n", opened)
         if config.summary_path:
-            handle = _open_output(config.summary_path, "", opened)
-            summary = csv.writer(handle, lineterminator="\n")
-            summary.writerow(SUMMARY_COLUMNS)
-        encode = _ROW_ENCODER.encode
+            summary = _open_output(config.summary_path, "", opened)
+            summary.write(",".join(SUMMARY_COLUMNS) + "\n")
         records = []
-        for record, rows in results:
+        for record, lines in results:
             if trace is not None:
-                trace.writelines([encode(row) + "\n" for row in rows])
-            if summary is not None:
-                summary.writerow([_cell(getattr(record, column)) for column in SUMMARY_COLUMNS])
+                trace.writelines(lines)
+            if summary is not None:  # algorithm and style names hold no "," or '"'
+                summary.write(
+                    f"{record.formula_id},{record.vars},{record.algorithm},"
+                    f"{record.oracle_style},{record.seed},{_cell(record.result)},"
+                    f"{_cell(record.reference)},{_cell(record.agree)},"
+                    f"{record.oracle_calls},{_cell(record.max_width)}\n"
+                )
             records.append(record)
         for handle, _, _ in opened:
             handle.close()
@@ -310,11 +353,11 @@ def run(config: ExperimentConfig) -> list[RunRecord]:
         )
     if config.mode not in SPARSE_MODES:
         raise InvalidParams(f"unknown sparse mode {config.mode!r}; choose from {SPARSE_MODES}")
+    var_counts = [variable_mask(formula).bit_count() for formula in config.formulas]
     limit = None  # read once per run, and passed to every reference
     if config.verify:
         limit = brute_force_limit()
-        for formula in config.formulas:
-            k = variable_mask(formula).bit_count()
+        for k in var_counts:
             if k > limit:
                 raise InvalidParams(
                     f"{k} variables exceeds the verification "
@@ -322,9 +365,10 @@ def run(config: ExperimentConfig) -> list[RunRecord]:
                     f"SELFRED_BRUTE_LIMIT"
                 )
     oracle = algorithm.make_oracle(config)
+    head = f'{{"algorithm": {_json_str(config.algorithm)}, '
     results = (
-        _run_one(config, oracle, formula_id, formula, limit)
-        for formula_id, formula in enumerate(config.formulas)
+        _run_one(config, oracle, head, formula_id, formula, var_count, limit)
+        for formula_id, (formula, var_count) in enumerate(zip(config.formulas, var_counts))
     )
     return write_outputs(results, config)
 

@@ -626,10 +626,15 @@ def _model_count(formula: Formula, limit: int | None, stop_at_model: bool) -> in
     assignments b * 2^_BLOCK_VARS onwards.  With ``stop_at_model`` the count
     stops after the first block that holds a model."""
     effective = brute_force_limit() if limit is None else limit
-    k = variable_mask(formula).bit_count()
+    mask = variable_mask(formula)
+    k = mask.bit_count()
     if k > effective:
         raise TooLarge(f"{k} variables exceeds the exhaustive limit of {effective}")
-    occurring = sorted(variables(formula))
+    occurring = []  # the indices of the set bits, lowest first
+    while mask:
+        lowest = mask & -mask
+        occurring.append(lowest.bit_length() - 1)
+        mask ^= lowest
     low = min(k, _BLOCK_VARS)
     full = (1 << (1 << low)) - 1
     masks = dict(zip(occurring, _block_columns(low)))  # stops after the lowest variables

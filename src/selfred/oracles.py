@@ -102,13 +102,16 @@ class SelectorOracle(_CountedOracle):
     whenever either argument is satisfiable.
 
     ``choose`` returns the argument object itself, ``a`` first when both
-    have the answer's text, so a caller can tell the branch by identity."""
+    have the answer's text, so a caller can tell the branch by identity.  An
+    answer that is ``a`` itself is returned without comparing any text."""
 
     def choose(self, a: Formula, b: Formula) -> Formula:
         choice = self._ask(a, b)
         if type(choice) not in _NODE_CLASSES:
             kind = type(choice).__name__
             raise OracleContractViolation(f"selector chose a value of type {kind}, not a formula")
+        if choice is a:
+            return a
         text = serialize(choice)
         if text == serialize(a):
             return a

@@ -134,6 +134,21 @@ class TestSelectorContract:
         oracle = SelectorOracle(lambda a, b: parse(serialize(b)))
         assert oracle.choose(a, b) is a
 
+    @pytest.mark.parametrize("b_text", ["x2 | x3", "x1 & !x1"])
+    def test_answer_a_itself_serializes_nothing(self, monkeypatch, b_text):
+        calls = []
+        monkeypatch.setattr(oracles_module, "serialize", lambda f: calls.append(f) or serialize(f))
+        a, b = parse("x1 | x2"), parse(b_text)
+        oracle = SelectorOracle(lambda a, b: a)
+        assert oracle.choose(a, b) is a
+        assert calls == []
+        assert oracle.call_counter == 1
+
+    def test_node_type_checked_before_identity(self):
+        oracle = SelectorOracle(lambda a, b: a)
+        with pytest.raises(OracleContractViolation, match="type str"):
+            oracle.choose("x1", parse("x2"))
+
     @pytest.mark.parametrize("answer", ["x3", "x1 & x2", "T"])
     def test_answer_that_is_neither_argument(self, answer):
         oracle = SelectorOracle(lambda a, b: parse(answer))
