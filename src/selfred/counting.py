@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ConstantOperand, OracleContractViolation
+from .errors import ConstantOperand, InvalidParams, OracleContractViolation
 from .formula import (
     And,
     Const,
@@ -36,11 +36,10 @@ from .formula import (
     Not,
     Or,
     Var,
-    rename_variables,
+    place_variables,
     self_reduce,
     simplify,
     variable_mask,
-    variables,
 )
 from .oracles import TwoEnumeratorOracle, honest_two_enumerator
 
@@ -84,12 +83,6 @@ class Linkage:
     triples: tuple[GuessTriple, GuessTriple]
 
 
-def _contiguous_renaming(formula: Formula, start: int) -> tuple[Formula, int]:
-    ordered = sorted(variables(formula))
-    renamed = rename_variables(formula, {v: start + i for i, v in enumerate(ordered)})
-    return renamed, len(ordered)
-
-
 def combine(left: Formula, right: Formula, *, start: int = 1) -> CombineRecipe:
     """Pack two formulas into one whose count encodes both operand counts.
 
@@ -98,10 +91,11 @@ def combine(left: Formula, right: Formula, *, start: int = 1) -> CombineRecipe:
     them, then the switch and guard.  An operand whose variables already form
     its range is used as it is, not copied.
     """
-    if not variable_mask(left) or not variable_mask(right):
+    n, m = variable_mask(left).bit_count(), variable_mask(right).bit_count()
+    if not n or not m:
         raise ConstantOperand("combine requires operands with at least one variable")
-    renamed_left, n = _contiguous_renaming(left, start)
-    renamed_right, m = _contiguous_renaming(right, start + n)
+    renamed_left = place_variables(left, start)
+    renamed_right = place_variables(right, start + n)
     switch, guard = start + n + m, start + n + m + 1
     combined = Or(
         And(renamed_left, Var(switch)),
@@ -181,12 +175,12 @@ def link_disagreeing_triples(
     differ, matching the worked resolution on the False branch.
     """
     if first.a == second.a:
-        raise ValueError("triples agree on the root count; nothing to link")
+        raise InvalidParams("triples agree on the root count; nothing to link")
     if first.c != second.c:
         return "right", {first.c: first.a, second.c: second.a}
     if first.b != second.b:
         return "left", {first.b: first.a, second.b: second.a}
-    raise ValueError("consistent triples disagreeing on a must differ on a child")
+    raise InvalidParams("consistent triples disagreeing on a must differ on a child")
 
 
 def count_via_enumerator(
@@ -205,12 +199,12 @@ def _lift(count: int, child: Formula, slots: int) -> int:
 
 
 def _count(formula: Formula, oracle: TwoEnumeratorOracle, chain: list[Linkage], depth: int) -> int:
-    if isinstance(formula, Const):
+    if type(formula) is Const:
         return int(formula.value)
     slots = variable_mask(formula).bit_count() - 1
     true_child, false_child, _ = self_reduce(formula)
-    true_const = isinstance(true_child, Const)
-    false_const = isinstance(false_child, Const)
+    true_const = type(true_child) is Const
+    false_const = type(false_child) is Const
 
     if true_const and false_const:
         return (int(true_child.value) + int(false_child.value)) << slots

@@ -52,5 +52,6 @@ class ConstantOperand(SelfReducibilityError):
     """The combiner was applied to a zero-variable operand."""
 
 
-class InvalidParams(SelfReducibilityError):
-    """Invalid generator or experiment parameters."""
+class InvalidParams(SelfReducibilityError, ValueError):
+    """Invalid parameters: of a generator or experiment, of a node, of a
+    renaming, or of an oracle style or decider mode."""

@@ -84,7 +84,7 @@ class Var(_Node):
 
     def __init__(self, index: int) -> None:
         if index < 1:
-            raise ValueError(f"variable index must be positive, got {index}")
+            raise InvalidParams(f"variable index must be positive, got {index}")
         _set_index(self, index)
 
 
@@ -112,7 +112,7 @@ class _Connective(_Node):
         for child in children:
             flat.extend(child.children if type(child) is kind else (child,))
         if len(flat) < 2:
-            raise ValueError(f"{kind.__name__} requires at least 2 children")
+            raise InvalidParams(f"{kind.__name__} requires at least 2 children")
         object.__setattr__(self, "children", tuple(flat))
         _set_mask(self, None), _set_text(self, None), _set_simple(self, False)
 
@@ -169,10 +169,19 @@ def variable_mask(formula: Formula) -> int:
     return mask
 
 
+def _indices(mask: int) -> list[int]:
+    """The indices of the set bits of ``mask``, lowest first."""
+    indices = []
+    while mask:
+        lowest = mask & -mask
+        indices.append(lowest.bit_length() - 1)
+        mask ^= lowest
+    return indices
+
+
 def variables(formula: Formula) -> frozenset[int]:
     """Set of variable indices occurring in the formula."""
-    bits = bin(variable_mask(formula))[:1:-1]  # character i is bit i
-    return frozenset([index for index, bit in enumerate(bits) if bit == "1"])
+    return frozenset(_indices(variable_mask(formula)))
 
 
 def serialize(formula: Formula) -> str:
@@ -539,10 +548,23 @@ def rename_variables(formula: Formula, mapping: Mapping[int, int]) -> Formula:
         raise UnknownVariable(f"no mapping for variables {sorted(missing)}")
     images = [mapping[i] for i in occurring]
     if len(set(images)) != len(images):
-        raise ValueError("variable renaming must be injective")
+        raise InvalidParams("variable renaming must be injective")
     if all(mapping[i] == i for i in occurring):
         return formula
     return _map_vars(formula, {i: Var(mapping[i]) for i in occurring})
+
+
+def place_variables(formula: Formula, start: int) -> Formula:
+    """The formula with its k variables renamed, in order, to x_start ..
+    x_(start+k-1): what ``rename_variables`` gives for that mapping, read
+    off the cached mask (the mapping needs no checks).  A formula already in
+    place is returned as it is."""
+    if start < 1:
+        raise InvalidParams(f"variable index must be positive, got start {start}")
+    mask = variable_mask(formula)
+    if mask == ((1 << mask.bit_count()) - 1) << start:
+        return formula
+    return _map_vars(formula, {index: Var(start + rank) for rank, index in enumerate(_indices(mask))})
 
 
 def evaluate(formula: Formula, assignment: Assignment) -> bool:
@@ -623,22 +645,24 @@ def _model_count(formula: Formula, limit: int | None, stop_at_model: bool) -> in
     Assignment number m gives the variable of rank r the value of bit r of m.
     The lowest _BLOCK_VARS variables get columns one block wide; the rest are
     constant within a block, all-ones or all-zero, so block b holds the
-    assignments b * 2^_BLOCK_VARS onwards.  With ``stop_at_model`` the count
-    stops after the first block that holds a model."""
+    assignments b * 2^_BLOCK_VARS onwards.  A formula whose variables fit
+    one block is evaluated once.  With ``stop_at_model`` the count stops
+    after the first block that holds a model."""
     effective = brute_force_limit() if limit is None else limit
     mask = variable_mask(formula)
     k = mask.bit_count()
     if k > effective:
         raise TooLarge(f"{k} variables exceeds the exhaustive limit of {effective}")
-    occurring = []  # the indices of the set bits, lowest first
-    while mask:
+    width = k if k < _BLOCK_VARS else _BLOCK_VARS
+    full = (1 << (1 << width)) - 1
+    masks: dict[int, int] = {}
+    for column in _block_columns(width):  # the lowest variables, by rank
         lowest = mask & -mask
-        occurring.append(lowest.bit_length() - 1)
+        masks[lowest.bit_length() - 1] = column
         mask ^= lowest
-    low = min(k, _BLOCK_VARS)
-    full = (1 << (1 << low)) - 1
-    masks = dict(zip(occurring, _block_columns(low)))  # stops after the lowest variables
-    high = occurring[low:]
+    if not mask:  # every variable fits one block
+        return _truth_table(formula, masks, full).bit_count()
+    high = _indices(mask)
     count = 0
     for block in range(1 << len(high)):
         for rank, index in enumerate(high):

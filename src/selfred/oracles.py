@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, get_args
 
-from .errors import InvalidBound, OracleContractViolation, TooLarge
+from .errors import InvalidBound, InvalidParams, OracleContractViolation, TooLarge
 from .formula import (
     And,
     Const,
@@ -56,7 +56,7 @@ SELECTOR_STYLES = ("honest", "adversarial")
 
 def is_tally_string(text: str) -> bool:
     """True for strings over the single letter 0 (the empty string counts)."""
-    return all(ch == "0" for ch in text)
+    return not text.strip("0")
 
 
 @dataclass(frozen=True, init=False)
@@ -241,7 +241,7 @@ def simulated_tally_reduction(style: str) -> TallyReductionOracle:
             return "0" * (2 * bucket if _has_model(f) else 2 * bucket + 1)
 
     else:
-        raise ValueError(f"unknown tally style {style!r}; expected one of {TALLY_STYLES}")
+        raise InvalidParams(f"unknown tally style {style!r}; expected one of {TALLY_STYLES}")
     return TallyReductionOracle(_by_text(image))
 
 
@@ -270,7 +270,7 @@ def simulated_sparse_coreduction(style: str, seed: int = 0) -> SparseCoReduction
         r = PolynomialBound((32, 1))
         unsat_image = lambda key: "1" * (1 + _digest_int(seed, key) % 16)
     else:
-        raise ValueError(f"unknown sparse style {style!r}; expected one of {SPARSE_STYLES}")
+        raise InvalidParams(f"unknown sparse style {style!r}; expected one of {SPARSE_STYLES}")
 
     def image(f: Formula, key: str) -> str:
         return "0" + format(next(arrivals), "b") if _has_model(f) else unsat_image(key)
@@ -287,7 +287,7 @@ def honest_two_enumerator(style: str, seed: int = 0) -> TwoEnumeratorOracle:
     otherwise.
     """
     if style not in ENUMERATOR_STYLES:
-        raise ValueError(
+        raise InvalidParams(
             f"unknown enumerator style {style!r}; expected one of {ENUMERATOR_STYLES}"
         )
     count = _by_text(lambda f, key: exact_model_count(f))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import EncodingInvariantBroken, InvalidBound
+from .errors import EncodingInvariantBroken, InvalidBound, InvalidParams
 from .formula import (
     Const,
     Formula,
@@ -90,7 +90,7 @@ def _split_frontier(
     """One level of splitting; constants pass through without a new call."""
     children: list[tuple[Formula, str]] = []
     for node, image in frontier:
-        if isinstance(node, Const):
+        if type(node) is Const:
             children.append((node, image))
             continue
         *pair, _ = self_reduce(node)  # split on the least variable
@@ -138,7 +138,7 @@ def _walk_levels(
     (``early_accept``) or caps the level at budget + 1 nodes.
     """
     root = simplify(formula)
-    if isinstance(root, Const):
+    if type(root) is Const:
         return root.value, LevelStats([], 0, OUTCOME_SAT if root.value else OUTCOME_UNSAT, [])
 
     calls_before = oracle.call_counter
@@ -162,7 +162,10 @@ def _walk_levels(
                 break
             frontier = levels[-1].nodes = frontier[: budget + 1]
             capped_levels.append(depth)
-        if all(isinstance(node, Const) for node, _ in frontier):  # also when all were pruned
+        for node, _ in frontier:
+            if type(node) is not Const:
+                break
+        else:  # every node is constant, also when all were pruned
             verdict = any(node.value for node, _ in frontier)
             outcome = OUTCOME_SAT if verdict else OUTCOME_UNSAT
             break
@@ -187,7 +190,7 @@ def decide_via_sparse(
 ) -> tuple[bool, LevelStats]:
     """Decide satisfiability given a co-reduction into a sparse set."""
     if mode not in SPARSE_MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {SPARSE_MODES}")
+        raise InvalidParams(f"unknown mode {mode!r}; expected one of {SPARSE_MODES}")
     for bound in (oracle.q, oracle.r):
         if any(c < 0 for c in bound.coefficients):
             raise InvalidBound(f"negative coefficient in {bound.coefficients}")
