@@ -14,8 +14,13 @@ capped_continue keeps exactly that many nodes and descends anyway.
 
 Within a level, children are generated True branch before False branch with
 parents in level order, and dedup keeps the first occurrence, so traces are
-deterministic.  Constant nodes ride along unchanged until every node is
-constant; the verdict is whether any surviving leaf is True.
+deterministic.  Each node splits on its own least variable, so a residual
+formula met at one depth often recurs at a later one: within a walk it is
+split once, and every copy shares its children (the same node objects).
+Every child is still mapped through the oracle, so calls, levels and prune
+events are those of a walk that splits each copy afresh.  Constant nodes
+ride along unchanged until every node is constant; the verdict is whether
+any surviving leaf is True.
 """
 from __future__ import annotations
 
@@ -86,19 +91,34 @@ def _split_frontier(
     frontier: list[tuple[Formula, str]],
     oracle_map,
     root_length: int,
+    interned: dict[str, Formula],
+    splits: dict[int, list[Formula]],
 ) -> list[tuple[Formula, str]]:
-    """One level of splitting; constants pass through without a new call."""
+    """One level of splitting; constants pass through without a new call.
+
+    Each new child is interned by its text in ``interned``, so a formula met
+    again is the same object, and ``splits`` keys its children by that
+    object's identity: a recurring formula is split and checked once.  Both
+    dicts live for one walk; every node split is the root or held in
+    ``interned``, so no identity is reused while they live.
+    """
     children: list[tuple[Formula, str]] = []
     for node, image in frontier:
         if type(node) is Const:
             children.append((node, image))
             continue
-        *pair, _ = self_reduce(node)  # split on the least variable
+        pair = splits.get(id(node))
+        if pair is None:
+            *pair, _ = self_reduce(node)  # split on the least variable
+            for side, child in enumerate(pair):
+                text = serialize(child)
+                if len(text) > root_length:
+                    raise EncodingInvariantBroken(
+                        f"child {text!r} exceeds the input length {root_length}"
+                    )
+                pair[side] = interned.setdefault(text, child)
+            splits[id(node)] = pair
         for child in pair:
-            if serialized_length(child) > root_length:
-                raise EncodingInvariantBroken(
-                    f"child {serialize(child)!r} exceeds the input length {root_length}"
-                )
             children.append((child, oracle_map(child)))
     return children
 
@@ -149,6 +169,8 @@ def _walk_levels(
     capped_levels: list[int] = []
     crossed_at: int | None = None
     children = [(root, oracle.map(root))]
+    interned: dict[str, Formula] = {}
+    splits: dict[int, list[Formula]] = {}
     depth = 0
     while True:
         frontier, events = _prune(children, admit)
@@ -170,7 +192,7 @@ def _walk_levels(
             outcome = OUTCOME_SAT if verdict else OUTCOME_UNSAT
             break
         depth += 1
-        children = _split_frontier(frontier, oracle.map, root_length)
+        children = _split_frontier(frontier, oracle.map, root_length, interned, splits)
 
     calls = oracle.call_counter - calls_before
     return verdict, LevelStats(widths, calls, outcome, levels, budget, crossed_at, capped_levels)

@@ -1,9 +1,16 @@
-import pytest
+import re
 
-from selfred.errors import InvalidBound, OracleContractViolation
-from selfred.formula import Const, brute_force_sat, parse
-from selfred.generate import generate_corpus
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import selfred.pruning
+from selfred.errors import EncodingInvariantBroken, InvalidBound, OracleContractViolation
+from selfred.formula import Const, brute_force_sat, parse, self_reduce, serialize, simplify
+from selfred.generate import generate_corpus, generate_random
 from selfred.oracles import (
+    SPARSE_STYLES,
+    TALLY_STYLES,
     PolynomialBound,
     SparseCoReductionOracle,
     TallyReductionOracle,
@@ -17,6 +24,8 @@ from selfred.pruning import (
     OUTCOME_EARLY_SAT,
     OUTCOME_SAT,
     OUTCOME_UNSAT,
+    SPARSE_MODES,
+    PruneEvent,
     decide_via_sparse,
     decide_via_tally,
 )
@@ -226,3 +235,193 @@ class TestImageContract:
         )
         with pytest.raises(OracleContractViolation, match="type NoneType"):
             decide_via_sparse(parse("x1 | x2"), oracle)
+
+
+def reference_walk(formula, oracle, admit=None, budget_of=None, early_accept=False):
+    """The level walk with every non-constant frontier node split afresh by
+    ``self_reduce``: no memo and no interning.  Returns the verdict and a
+    dict of everything the deciders report, levels as (texts, images,
+    prune events)."""
+    calls_before = oracle.call_counter
+    root = simplify(formula)
+    if type(root) is Const:
+        outcome = OUTCOME_SAT if root.value else OUTCOME_UNSAT
+        return root.value, dict(calls=0, widths=[], outcome=outcome, crossed_at=None, capped=[], levels=[])
+    budget = None if budget_of is None else budget_of(len(serialize(formula)))
+    children = [(root, oracle.map(root))]
+    widths, capped, levels, crossed_at = [], [], [], None
+    while True:
+        kept, seen, events = [], set(), []
+        for child, image in children:
+            if admit is not None and not admit(image):
+                events.append(PruneEvent(NON_TALLY, serialize(child)))
+            elif image in seen:
+                events.append(PruneEvent(DUPLICATE_IMAGE, serialize(child), image))
+            else:
+                seen.add(image)
+                kept.append((child, image))
+        depth = len(levels)
+        widths.append((len(children), len(kept)))
+        crossed = budget is not None and len(kept) > budget
+        if crossed:
+            crossed_at = depth if crossed_at is None else crossed_at
+            if not early_accept:
+                kept = kept[: budget + 1]
+                capped.append(depth)
+        levels.append(([serialize(node) for node, _ in kept], [image for _, image in kept], events))
+        if crossed and early_accept:
+            verdict, outcome = True, OUTCOME_EARLY_SAT
+            break
+        if all(type(node) is Const for node, _ in kept):
+            verdict = any(node.value for node, _ in kept)
+            outcome = OUTCOME_SAT if verdict else OUTCOME_UNSAT
+            break
+        children = []
+        for node, image in kept:
+            if type(node) is Const:
+                children.append((node, image))
+                continue
+            true_child, false_child, _ = self_reduce(node)
+            children.append((true_child, oracle.map(true_child)))
+            children.append((false_child, oracle.map(false_child)))
+    calls = oracle.call_counter - calls_before
+    return verdict, dict(
+        calls=calls, widths=widths, outcome=outcome, crossed_at=crossed_at, capped=capped, levels=levels
+    )
+
+
+def reported(verdict, stats):
+    """A decider's result in ``reference_walk``'s form."""
+    levels = [
+        ([serialize(node) for node, _ in level.nodes], level.images, level.prune_events)
+        for level in stats.levels
+    ]
+    return verdict, dict(
+        calls=stats.oracle_calls,
+        widths=stats.widths,
+        outcome=stats.outcome,
+        crossed_at=stats.crossed_at,
+        capped=stats.capped_levels,
+        levels=levels,
+    )
+
+
+@pytest.fixture
+def split_inputs(monkeypatch):
+    """The text of every formula the walker splits, in order."""
+    texts = []
+
+    def counted(formula):
+        texts.append(serialize(formula))
+        return self_reduce(formula)
+
+    monkeypatch.setattr(selfred.pruning, "self_reduce", counted)
+    return texts
+
+
+random_formulas = st.builds(
+    lambda var_count, extra, seed: generate_random(var_count, var_count + extra, seed),
+    st.integers(1, 10),
+    st.integers(0, 12),
+    st.integers(0, 2**32 - 1),
+)
+
+
+class TestSplitMemo:
+    """The walker splits a formula that recurs within one walk once and
+    shares its children; nothing it reports may differ from a walk that
+    splits every copy afresh."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_formulas)
+    def test_tally_walk_matches_fresh_splits(self, formula):
+        for style in TALLY_STYLES:
+            expected = reference_walk(formula, simulated_tally_reduction(style), admit=is_tally_string)
+            assert reported(*decide_via_tally(formula, simulated_tally_reduction(style))) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_formulas, st.integers(0, 9))
+    def test_sparse_walk_matches_fresh_splits(self, formula, seed):
+        for style in SPARSE_STYLES:
+            for mode in SPARSE_MODES:
+                reference_oracle = simulated_sparse_coreduction(style, seed=seed)
+                expected = reference_walk(
+                    formula,
+                    reference_oracle,
+                    budget_of=lambda length: reference_oracle.q(reference_oracle.r(length)),
+                    early_accept=mode == "early_accept",
+                )
+                oracle = simulated_sparse_coreduction(style, seed=seed)
+                assert reported(*decide_via_sparse(formula, oracle, mode)) == expected
+
+    @pytest.mark.parametrize(
+        "text, levels, splits",
+        [
+            (
+                "x1 & x2 | x3",
+                [["x1 & x2 | x3"], ["x2 | x3", "x3"], ["T", "x3", "F"], ["T", "F"]],
+                ["x1 & x2 | x3", "x2 | x3", "x3"],  # not 4: x3 at depths 1 and 2
+            ),
+            (
+                # The x3 | x4 at depth 2 is built by another split than the
+                # one at depth 1; interning makes the two one node.
+                "x1 & x2 | x3 | x4",
+                [
+                    ["x1 & x2 | x3 | x4"],
+                    ["x2 | x3 | x4", "x3 | x4"],
+                    ["T", "x3 | x4", "x4"],
+                    ["T", "x4", "F"],
+                    ["T", "F"],
+                ],
+                ["x1 & x2 | x3 | x4", "x2 | x3 | x4", "x3 | x4", "x4"],
+            ),
+        ],
+    )
+    def test_pinned_revisit_is_split_once(self, split_inputs, text, levels, splits):
+        for _ in range(2):  # a fresh oracle and a fresh walk: no memo carries over
+            split_inputs.clear()
+            verdict, stats = decide_via_sparse(parse(text), simulated_sparse_coreduction("singleton"))
+            assert verdict is True
+            assert [[serialize(node) for node, _ in level.nodes] for level in stats.levels] == levels
+            assert split_inputs == splits
+            assert stats.levels[1].nodes[1][0] is stats.levels[2].nodes[1][0]
+
+    @pytest.mark.parametrize(
+        "style, mode",
+        [(style, None) for style in TALLY_STYLES]
+        + [(style, mode) for style in SPARSE_STYLES for mode in SPARSE_MODES],
+    )
+    def test_no_text_split_twice_in_a_walk(self, split_inputs, corpus, style, mode):
+        for formula in corpus[:100]:
+            split_inputs.clear()
+            if mode is None:
+                decide_via_tally(formula, simulated_tally_reduction(style))
+            else:
+                decide_via_sparse(formula, simulated_sparse_coreduction(style), mode)
+            assert len(split_inputs) == len(set(split_inputs))
+
+
+class TestEncodingInvariant:
+    LONG = "x1 | x2 | x3 | x4 | x5 | x6"
+
+    @pytest.mark.parametrize("target", ["x1 & x2 | x3", "x2 | x3"])
+    @pytest.mark.parametrize(
+        "decide",
+        [
+            lambda f: decide_via_tally(f, simulated_tally_reduction("canonical")),
+            lambda f: decide_via_sparse(f, simulated_sparse_coreduction("singleton")),
+        ],
+        ids=["tally", "sparse"],
+    )
+    def test_child_longer_than_the_input_is_named(self, monkeypatch, decide, target):
+        # The split of ``target`` (the root, or a node both deciders keep at
+        # depth 1) yields a child longer than the input: the walk must say so.
+        def lengthening(formula):
+            true_child, false_child, index = self_reduce(formula)
+            if serialize(formula) == target:
+                return true_child, parse(self.LONG), index
+            return true_child, false_child, index
+
+        monkeypatch.setattr(selfred.pruning, "self_reduce", lengthening)
+        with pytest.raises(EncodingInvariantBroken, match=re.escape(repr(self.LONG))):
+            decide(parse("x1 & x2 | x3"))
