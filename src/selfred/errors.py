@@ -37,7 +37,7 @@ class MalformedInput(SelfReducibilityError, TypeError):
 
 
 class InvalidBound(SelfReducibilityError):
-    """A polynomial bound with a negative coefficient."""
+    """A polynomial bound with a coefficient that is not a nonnegative int."""
 
 
 class EncodingInvariantBroken(SelfReducibilityError):

@@ -56,6 +56,8 @@ MAX_NESTING = 200
 _CACHED_MASK_BITS = 1024
 # Longest variable index that formula text and DIMACS input may spell out.
 MAX_INDEX_DIGITS = 6
+# Highest variable index; Var holds no other, so every variable can be spelt.
+_MAX_INDEX = 10**MAX_INDEX_DIGITS - 1
 # A variable as canonical text spells it; the group is its index.
 _INDEX = re.compile(r"x(\d+)")
 # Variables whose assignments one truth-table block spans: their columns are
@@ -73,9 +75,14 @@ class _Node:
     __slots__ = ("_mask", "_text", "_simple")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Const(_Node):
     value: bool
+
+    def __init__(self, value: bool) -> None:
+        if value is not True and value is not False:
+            raise InvalidParams(f"constant must be True or False, got {value!r}")
+        _set_value(self, value)
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -83,8 +90,8 @@ class Var(_Node):
     index: int
 
     def __init__(self, index: int) -> None:
-        if index < 1:
-            raise InvalidParams(f"variable index must be positive, got {index}")
+        if type(index) is not int or not 0 < index <= _MAX_INDEX:
+            raise InvalidParams(f"variable index must be an int in 1..{_MAX_INDEX}, got {index!r}")
         _set_index(self, index)
 
 
@@ -132,7 +139,7 @@ class Or(_Connective):
 
 # Slot setters that go around the frozen nodes' __setattr__.
 _set_mask, _set_text, _set_simple = _Node._mask.__set__, _Node._text.__set__, _Node._simple.__set__
-_set_index, _set_child = Var.index.__set__, Not.child.__set__
+_set_value, _set_index, _set_child = Const.value.__set__, Var.index.__set__, Not.child.__set__
 
 Formula = Const | Var | Not | And | Or
 
@@ -320,9 +327,13 @@ def parse_dimacs(text: str) -> Formula:
 
     Clauses map to disjunctions of literals (a lone literal stays a literal,
     an empty clause becomes Const(False)); zero clauses yield Const(True).
+    One pass: a clause's node is built when its 0 is read, and the first
+    literal above the declared variable count is raised after the scan, so
+    any other syntax error comes first.
     """
-    var_count = clause_count = None
-    literal_tokens: list[tuple[int, int]] = []  # (literal, byte offset)
+    var_count = clause_count = too_high = None
+    clauses: list[Formula] = []
+    current: list[Formula] = []  # literal nodes of the open clause
     end = problem_at = 0
     for line_no, line in enumerate(text.splitlines(keepends=True), start=1):
         at, end = end, end + len(line.encode())  # byte offsets of this line
@@ -346,47 +357,28 @@ def parse_dimacs(text: str) -> Formula:
         if var_count is None:
             raise FormulaSyntaxError(f"clause before problem line on line {line_no}", at)
         for token in re.finditer(r"\S+", line):
-            token_at = at + len(line[: token.start()].encode())
             try:
-                literal_tokens.append((int(token.group()), token_at))
+                literal = int(token.group())
             except ValueError:
+                token_at = at + len(line[: token.start()].encode())
                 raise FormulaSyntaxError(f"bad literal on line {line_no}", token_at) from None
+            if literal == 0:
+                clauses.append(Or(*current) if len(current) > 1 else current[0] if current else FALSE)
+                current = []
+            elif abs(literal) <= var_count:
+                current.append(Var(literal) if literal > 0 else Not(Var(-literal)))
+            elif too_high is None:
+                token_at = at + len(line[: token.start()].encode())
+                too_high = FormulaSyntaxError(f"literal {literal} exceeds declared variable count", token_at)
     if var_count is None:
         raise FormulaSyntaxError("missing 'p cnf' problem line", end)
-
-    clauses: list[list[int]] = []
-    current: list[int] = []
-    for literal, token_at in literal_tokens:
-        if literal == 0:
-            clauses.append(current)
-            current = []
-            continue
-        if abs(literal) > var_count:
-            raise FormulaSyntaxError(f"literal {literal} exceeds declared variable count", token_at)
-        current.append(literal)
+    if too_high is not None:
+        raise too_high
     if current:
         raise FormulaSyntaxError("final clause not terminated by 0", end)
     if len(clauses) != clause_count:
-        raise FormulaSyntaxError(
-            f"declared {clause_count} clauses but found {len(clauses)}", problem_at
-        )
-
-    def literal_node(literal: int) -> Formula:
-        return Var(literal) if literal > 0 else Not(Var(-literal))
-
-    clause_nodes: list[Formula] = []
-    for clause in clauses:
-        if not clause:
-            clause_nodes.append(FALSE)
-        elif len(clause) == 1:
-            clause_nodes.append(literal_node(clause[0]))
-        else:
-            clause_nodes.append(Or(*(literal_node(l) for l in clause)))
-    if not clause_nodes:
-        return TRUE
-    if len(clause_nodes) == 1:
-        return clause_nodes[0]
-    return And(*clause_nodes)
+        raise FormulaSyntaxError(f"declared {clause_count} clauses but found {len(clauses)}", problem_at)
+    return And(*clauses) if len(clauses) > 1 else clauses[0] if clauses else TRUE
 
 
 def simplify(formula: Formula) -> Formula:

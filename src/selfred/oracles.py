@@ -61,14 +61,14 @@ def is_tally_string(text: str) -> bool:
 
 @dataclass(frozen=True, init=False)
 class PolynomialBound:
-    """Polynomial with nonnegative coefficients, nondecreasing on naturals."""
+    """Polynomial with nonnegative int coefficients, nondecreasing on naturals."""
 
     coefficients: tuple[int, ...]
 
     def __init__(self, coefficients) -> None:
-        coeffs = tuple(int(c) for c in coefficients)
-        if any(c < 0 for c in coeffs):
-            raise InvalidBound(f"negative coefficient in {coeffs}")
+        coeffs = tuple(coefficients)
+        if any(type(c) is not int or c < 0 for c in coeffs):
+            raise InvalidBound(f"coefficients must be nonnegative ints, got {coeffs}")
         object.__setattr__(self, "coefficients", coeffs)
 
     def __call__(self, n: int) -> int:

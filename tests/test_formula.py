@@ -4,8 +4,10 @@ import functools
 import operator
 import pickle
 import random
+import re
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -429,6 +431,128 @@ class TestRename:
             rename_variables(parse("x1 & x2 & x3"), {1: 1, 2: 2, 3: 2})
 
 
+def reference_parse_dimacs(text):
+    """The three-pass DIMACS reader that parse_dimacs replaced: it gathers
+    every (literal, byte offset) pair first, then splits them into clauses,
+    then builds the nodes.  parse_dimacs must agree with it on every text."""
+    var_count = clause_count = None
+    literal_tokens = []
+    end = problem_at = 0
+    for line_no, line in enumerate(text.splitlines(keepends=True), start=1):
+        at, end = end, end + len(line.encode())
+        stripped = line.strip()
+        if not stripped or stripped.startswith("c"):
+            continue
+        if stripped.startswith("p"):
+            if var_count is not None:
+                raise FormulaSyntaxError("duplicate problem line", at)
+            parts = stripped.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise FormulaSyntaxError(f"bad problem line on line {line_no}", at)
+            if not (parts[2].isdecimal() and parts[3].isdecimal()):
+                raise FormulaSyntaxError(f"negative or non-integer count on line {line_no}", at)
+            if len(parts[2]) > MAX_INDEX_DIGITS:
+                raise FormulaSyntaxError(f"variable count above {MAX_INDEX_DIGITS} digits", at)
+            if len(parts[3]) > 18:
+                raise FormulaSyntaxError("clause count above 18 digits", at)
+            var_count, clause_count, problem_at = int(parts[2]), int(parts[3]), at
+            continue
+        if var_count is None:
+            raise FormulaSyntaxError(f"clause before problem line on line {line_no}", at)
+        for token in re.finditer(r"\S+", line):
+            token_at = at + len(line[: token.start()].encode())
+            try:
+                literal_tokens.append((int(token.group()), token_at))
+            except ValueError:
+                raise FormulaSyntaxError(f"bad literal on line {line_no}", token_at) from None
+    if var_count is None:
+        raise FormulaSyntaxError("missing 'p cnf' problem line", end)
+    clauses, current = [], []
+    for literal, token_at in literal_tokens:
+        if literal == 0:
+            clauses.append(current)
+            current = []
+            continue
+        if abs(literal) > var_count:
+            raise FormulaSyntaxError(f"literal {literal} exceeds declared variable count", token_at)
+        current.append(literal)
+    if current:
+        raise FormulaSyntaxError("final clause not terminated by 0", end)
+    if len(clauses) != clause_count:
+        raise FormulaSyntaxError(
+            f"declared {clause_count} clauses but found {len(clauses)}", problem_at
+        )
+    nodes = []
+    for clause in clauses:
+        literals = [Var(l) if l > 0 else Not(Var(-l)) for l in clause]
+        nodes.append(Const(False) if not literals else literals[0] if len(literals) == 1 else Or(*literals))
+    return Const(True) if not nodes else nodes[0] if len(nodes) == 1 else And(*nodes)
+
+
+# Separators between DIMACS tokens, weighted toward a plain space so that
+# many clauses share a line; the last three end a line.
+_GAPS = [" "] * 8 + ["\t", "  ", "\u00a0", "\u3000", "\n", "\r\n", "\r"]
+_LINE_ENDS = ["\n", "\r\n", "\r"]
+_COMMENTS = ["c comment", "c h\u00e9llo w\u00f6rld \u2603", "c", "  c indented", ""]
+# Tokens a clause may hold besides its literals: legal spellings of a
+# literal, then tokens int() refuses.
+_ODD_TOKENS = ["\u0661", "-\u0661", "1_0", "+2", "-0", "x", "%", "0x1", "1e1"]
+
+
+@st.composite
+def dimacs_texts(draw):
+    """DIMACS texts, valid and broken: foreign separators and digits, comment
+    and % lines, literals above the count, a dropped final 0, a wrong clause
+    count, a misplaced, doubled or malformed problem line.  Each flaw is
+    drawn with odds of one in six, so about two texts in five parse."""
+    rng = draw(st.randoms(use_true_random=True))
+    rare = lambda: rng.random() < 1 / 6
+    n = rng.randint(1, 4)
+    clauses = [
+        [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, 4))]
+        for _ in range(rng.randint(0, 8))
+    ]
+    tokens = [str(l) for clause in clauses for l in [*clause, 0]]
+    if tokens and rare():
+        tokens.pop()  # the final 0
+    if rare():
+        odd = rng.choice(_ODD_TOKENS + [str(n + 1), str(-n - 2)])
+        tokens.insert(rng.randint(0, len(tokens)), odd)
+    declared = len(clauses) + (rng.choice((1, -1)) if rare() else 0)
+    gap = rng.choice([" ", "  ", "\u00a0", "\u3000", "\t"])
+    problem = f"p{gap}cnf{gap}{n}{gap}{declared}"
+    if rare():
+        problem = rng.choice([f"p cnf {n}", "p dnf 1 1", f"p cnf \u0661 {declared}"])
+    lines = [rng.choice(_COMMENTS) for _ in range(rng.randint(0, 2))]
+    body = ""
+    for token in tokens:
+        sep = rng.choice(_GAPS) if body else ""
+        if sep in _LINE_ENDS and rare():
+            sep += rng.choice(_COMMENTS) + rng.choice(_LINE_ENDS)
+        body += sep + token
+    placement = rng.choice(["top"] * 15 + ["missing", "twice", "after"])
+    if placement != "missing":
+        lines.append(problem)
+    lines.append(body)
+    if placement == "twice":
+        lines.append(problem)
+    elif placement == "after":
+        lines.insert(0, "1 0")
+    if rare():
+        lines += ["%", "0"]  # the trailer of the SATLIB benchmark files
+    ends = [rng.choice(_LINE_ENDS) for _ in lines]
+    ends[-1] = rng.choice(_LINE_ENDS + [""])
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def dimacs_outcome(reader, text):
+    try:
+        formula = reader(text)
+    except FormulaSyntaxError as error:
+        return "error", error.message, error.offset
+    return "formula", formula, serialize(formula)
+
+
 class TestDimacs:
     def test_basic(self):
         formula = parse_dimacs("c comment\np cnf 3 2\n1 -2 0\n3 0\n")
@@ -444,6 +568,27 @@ class TestDimacs:
     def test_empty_clause_is_false(self):
         formula = parse_dimacs("p cnf 1 2\n1 0\n0\n")
         assert brute_force_count(formula) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(dimacs_texts())
+    def test_agrees_with_the_three_pass_reader(self, text):
+        assert dimacs_outcome(parse_dimacs, text) == dimacs_outcome(reference_parse_dimacs, text)
+
+    def test_one_long_line_parses_in_linear_time(self):
+        # 32 000 three-literal clauses on one line; a reader that re-encodes
+        # the line's prefix for each token takes seconds here.
+        rng = random.Random(0)
+        clauses = [
+            " ".join(str(rng.choice((1, -1)) * rng.randint(1, 20)) for _ in range(3)) + " 0"
+            for _ in range(32_000)
+        ]
+        header = f"p cnf 20 {len(clauses)}\r\n"
+        one_line = header + " ".join(clauses) + "\r\n"
+        start = time.perf_counter()
+        formula = parse_dimacs(one_line)
+        assert time.perf_counter() - start < 2.0
+        assert formula == parse_dimacs(header + "\n".join(clauses) + "\n")
+        assert len(formula.children) == 32_000
 
     @pytest.mark.parametrize(
         "text",
@@ -505,6 +650,7 @@ class TestIndexLength:
     def test_longest_index_parses(self):
         index = int("9" * MAX_INDEX_DIGITS)
         assert variables(parse(f"x1 | !x{index}")) == {1, index}
+        assert parse(serialize(Var(index))) == Var(index)  # Var's highest index
         text = f"p cnf {index} 1\n{index} -1 0\n"
         assert variables(parse_dimacs(text)) == {1, index}
 

@@ -15,6 +15,7 @@ from selfred.formula import (
     FALSE,
     TRUE,
     And,
+    Const,
     Not,
     Or,
     Var,
@@ -142,6 +143,11 @@ class TestInvalidParams:
         "call",
         [
             lambda: Var(0),
+            lambda: Var(True),
+            lambda: Var(2.0),
+            lambda: Var(10**6),
+            lambda: Const(2),
+            lambda: Const(None),
             lambda: And(Var(1)),
             lambda: Or(Var(1)),
             lambda: rename_variables(parse("x1 & x2"), {1: 3, 2: 3}),

@@ -70,6 +70,13 @@ class TestPolynomialBound:
         with pytest.raises(InvalidBound):
             PolynomialBound((1, -1))
 
+    @pytest.mark.parametrize("coefficient", [0.5, 2.0, "1", True, False, None])
+    def test_non_int_coefficient_rejected(self, coefficient):
+        # int() used to truncate 0.5 to 0 and read "1" as 1; a bound that
+        # is not the one declared is refused, not rounded.
+        with pytest.raises(InvalidBound):
+            PolynomialBound((1, coefficient))
+
 
 class TestTallyStrings:
     def test_membership(self):

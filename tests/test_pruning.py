@@ -147,6 +147,22 @@ class TestSparseDecider:
         with pytest.raises(ValueError):
             decide_via_sparse(parse("x1"), simulated_sparse_coreduction("singleton"), "bogus")
 
+    def test_fractional_bound_is_refused_not_truncated(self):
+        # S = {"11"} is legal under q(l) = l/2, r(l) = l.  Declared as (0, 0.5)
+        # and truncated to q = 0, the label budget was 0, so the first level's
+        # one label crossed it and this unsatisfiable formula was accepted.
+        formula = parse("x1 & !x1 & x2 | x3 & !x3")
+
+        def oracle(q):
+            image = lambda f: "0" if brute_force_sat(f) else "11"
+            return SparseCoReductionOracle(image, q, PolynomialBound((0, 1)))
+
+        with pytest.raises(InvalidBound):
+            oracle(PolynomialBound((0, 0.5)))
+        verdict, stats = decide_via_sparse(formula, oracle(PolynomialBound((0, 1))), "early_accept")
+        assert verdict is False
+        assert stats.outcome == OUTCOME_UNSAT
+
     def test_invalid_bound(self):
         oracle = simulated_sparse_coreduction("singleton")
         object.__setattr__(oracle.q, "coefficients", (1, -1))
