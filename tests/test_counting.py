@@ -363,6 +363,37 @@ class TestCountViaEnumerator:
         assert len(chain[0].mapping) == 2
         assert chain[0].triples is not None
 
+    @pytest.mark.parametrize(
+        "text, listed, count, mapping",
+        [
+            # True child T: the query is combine(F, x2), which counts
+            # 3*4 + 1 = 13; 8 decodes to the consistent (2, 2, 0).
+            ("x1 | x2", [8, 13], 3, {0: 2, 1: 3}),
+            # False child F: combine(F, x2) counts 1*4 + 1 = 5; 0 decodes
+            # to the consistent (0, 0, 0).
+            ("x1 & x2", [0, 5], 1, {0: 0, 1: 1}),
+        ],
+    )
+    def test_descent_through_a_constant_child_split(self, text, listed, count, mapping):
+        # With one constant child the counter combines the formula with the
+        # open child only; two listed values that disagree on the root link
+        # the open child's candidates to the root's.
+        formula = parse(text)
+        recipe = combine(formula, parse("x2"))  # x2 is the open child of both
+        target = serialize(recipe.combined)
+        assert brute_force_count(recipe.combined) == listed[1]
+
+        def enumerate_fn(f):
+            return list(listed) if serialize(f) == target else [exact_model_count(f)]
+
+        oracle = TwoEnumeratorOracle(enumerate_fn)
+        result, chain = count_via_enumerator(formula, oracle)
+        assert result == count
+        assert len(chain) == 1
+        assert serialize(chain[0].child) == "x2"
+        assert chain[0].mapping == mapping
+        assert chain[0].depth == 0
+
     def test_more_than_two_values(self):
         from selfred.oracles import exact_model_count
 
