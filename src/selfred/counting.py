@@ -12,20 +12,22 @@ so renaming is not optional).  The children are renamed once, straight into
 their final range, and an operand whose variables already fill its range is
 used as it is.
 
-The counter combines a formula with its two split children, runs the
-enumerator once on the nested combination, and decodes each listed value
-into a candidate triple (a, b, c) of root/child counts, with the child
-candidates lifted to the root's residual variable slots so that consistency
-is exactly a = b + c.  Inconsistent or out-of-range triples are discarded;
-if the survivors agree on a the count is settled, otherwise they pin an
-injective two-point linkage from one child's count to the root's, and the
-counter recurses on that child, resolving the recorded chain on the way
+The counter combines a formula with its open split children (both, nested,
+or the one that is not a constant), runs the enumerator once on that
+combination, and decodes each listed value into a candidate triple (a, b, c)
+of root/child counts; a constant child's count is its value.  The child
+candidates are lifted to the root's residual variable slots so that
+consistency is exactly a = b + c.  Inconsistent or out-of-range triples are
+discarded; if the survivors agree on a the count is settled, otherwise they
+pin an injective two-point linkage from one child's count to the root's, and
+the counter recurses on that child, resolving the recorded chain on the way
 back up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .errors import ConstantOperand, InvalidParams, OracleContractViolation
@@ -209,38 +211,27 @@ def _count(formula: Formula, oracle: TwoEnumeratorOracle, chain: list[Linkage], 
     if true_const and false_const:
         return (int(true_child.value) + int(false_child.value)) << slots
 
-    triples: list[GuessTriple] = []
     if true_const or false_const:
-        # One child's count is known outright; combine only with the other.
-        const_value, open_child = (
-            (int(true_child.value), false_child)
-            if true_const
-            else (int(false_child.value), true_child)
-        )
-        known = const_value << slots
-        recipe = combine(formula, open_child)
-        for value in oracle.enumerate(recipe.combined):
-            decoded = decode(recipe, value)
-            if not (decoded.left_in_range and decoded.right_in_range):
-                continue
-            open_lifted = _lift(decoded.right_count, open_child, slots)
-            if true_const:
-                triples.append(GuessTriple(decoded.left_count, known, open_lifted))
-            else:
-                triples.append(GuessTriple(decoded.left_count, open_lifted, known))
+        # A constant child's raw count is its value; combine with the other.
+        recipe = combine(formula, false_child if true_const else true_child)
+        query = recipe.combined
+
+        def read(value: int) -> tuple[int, int, int, bool]:
+            a, raw, a_in_range, raw_in_range = decode(recipe, value)
+            b_raw = int(true_child.value) if true_const else raw
+            c_raw = int(false_child.value) if false_const else raw
+            return a, b_raw, c_raw, a_in_range and raw_in_range
+
     else:
         recipe3 = combine3(formula, true_child, false_child)
-        for value in oracle.enumerate(recipe3.outer.combined):
-            a, b_raw, c_raw, in_range = decode3(recipe3, value)
-            if not in_range:
-                continue
-            triples.append(
-                GuessTriple(
-                    a,
-                    _lift(b_raw, true_child, slots),
-                    _lift(c_raw, false_child, slots),
-                )
-            )
+        query, read = recipe3.outer.combined, partial(decode3, recipe3)
+
+    triples: list[GuessTriple] = []
+    for value in oracle.enumerate(query):
+        a, b_raw, c_raw, in_range = read(value)
+        if in_range:
+            b, c = _lift(b_raw, true_child, slots), _lift(c_raw, false_child, slots)
+            triples.append(GuessTriple(a, b, c))
 
     survivors: list[GuessTriple] = []
     for triple in triples:
