@@ -66,6 +66,10 @@ _BLOCK_VARS = 16
 # Longest clause count parse_dimacs converts; far more clauses than any text
 # holds, and far below int()'s limit on digits.
 _MAX_CLAUSE_COUNT_DIGITS = 18
+# A DIMACS literal and a problem-line count, in ASCII digits as the formula
+# grammar spells an index (int() would also take "1_0", "+2" and "١").
+_DIMACS_LITERAL = re.compile(r"-?[0-9]+")
+_DIMACS_COUNT = re.compile(r"[0-9]+")
 
 
 class _Node:
@@ -327,9 +331,10 @@ def parse_dimacs(text: str) -> Formula:
 
     Clauses map to disjunctions of literals (a lone literal stays a literal,
     an empty clause becomes Const(False)); zero clauses yield Const(True).
-    One pass: a clause's node is built when its 0 is read, and the first
-    literal above the declared variable count is raised after the scan, so
-    any other syntax error comes first.
+    A line starting with % ends the clauses, so the %/0 trailer of the SATLIB
+    files is read.  One pass: a clause's node is built when its 0 is read,
+    and the first literal above the declared variable count is raised after
+    the scan, so any other syntax error comes first.
     """
     var_count = clause_count = too_high = None
     clauses: list[Formula] = []
@@ -340,13 +345,16 @@ def parse_dimacs(text: str) -> Formula:
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
             continue
+        if stripped.startswith("%"):
+            end = at
+            break
         if stripped.startswith("p"):
             if var_count is not None:
                 raise FormulaSyntaxError("duplicate problem line", at)
             parts = stripped.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise FormulaSyntaxError(f"bad problem line on line {line_no}", at)
-            if not (parts[2].isdecimal() and parts[3].isdecimal()):
+            if not (_DIMACS_COUNT.fullmatch(parts[2]) and _DIMACS_COUNT.fullmatch(parts[3])):
                 raise FormulaSyntaxError(f"negative or non-integer count on line {line_no}", at)
             if len(parts[2]) > MAX_INDEX_DIGITS:
                 raise FormulaSyntaxError(f"variable count above {MAX_INDEX_DIGITS} digits", at)
@@ -358,8 +366,10 @@ def parse_dimacs(text: str) -> Formula:
             raise FormulaSyntaxError(f"clause before problem line on line {line_no}", at)
         for token in re.finditer(r"\S+", line):
             try:
+                if not _DIMACS_LITERAL.fullmatch(token.group()):
+                    raise ValueError
                 literal = int(token.group())
-            except ValueError:
+            except ValueError:  # also past int()'s limit on digits
                 token_at = at + len(line[: token.start()].encode())
                 raise FormulaSyntaxError(f"bad literal on line {line_no}", token_at) from None
             if literal == 0:

@@ -434,7 +434,8 @@ class TestRename:
 def reference_parse_dimacs(text):
     """The three-pass DIMACS reader that parse_dimacs replaced: it gathers
     every (literal, byte offset) pair first, then splits them into clauses,
-    then builds the nodes.  parse_dimacs must agree with it on every text."""
+    then builds the nodes.  parse_dimacs must agree with it on every text.
+    A % line ends the clauses, and literals and counts are ASCII digits."""
     var_count = clause_count = None
     literal_tokens = []
     end = problem_at = 0
@@ -443,13 +444,16 @@ def reference_parse_dimacs(text):
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
             continue
+        if stripped.startswith("%"):  # the SATLIB trailer: no clause follows
+            end = at
+            break
         if stripped.startswith("p"):
             if var_count is not None:
                 raise FormulaSyntaxError("duplicate problem line", at)
             parts = stripped.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise FormulaSyntaxError(f"bad problem line on line {line_no}", at)
-            if not (parts[2].isdecimal() and parts[3].isdecimal()):
+            if not all(re.fullmatch("[0-9]+", count) for count in parts[2:]):
                 raise FormulaSyntaxError(f"negative or non-integer count on line {line_no}", at)
             if len(parts[2]) > MAX_INDEX_DIGITS:
                 raise FormulaSyntaxError(f"variable count above {MAX_INDEX_DIGITS} digits", at)
@@ -462,6 +466,8 @@ def reference_parse_dimacs(text):
         for token in re.finditer(r"\S+", line):
             token_at = at + len(line[: token.start()].encode())
             try:
+                if not re.fullmatch("-?[0-9]+", token.group()):
+                    raise ValueError(token.group())
                 literal_tokens.append((int(token.group()), token_at))
             except ValueError:
                 raise FormulaSyntaxError(f"bad literal on line {line_no}", token_at) from None
@@ -494,8 +500,8 @@ def reference_parse_dimacs(text):
 _GAPS = [" "] * 8 + ["\t", "  ", "\u00a0", "\u3000", "\n", "\r\n", "\r"]
 _LINE_ENDS = ["\n", "\r\n", "\r"]
 _COMMENTS = ["c comment", "c h\u00e9llo w\u00f6rld \u2603", "c", "  c indented", ""]
-# Tokens a clause may hold besides its literals: legal spellings of a
-# literal, then tokens int() refuses.
+# Tokens a clause may hold besides its literals: spellings int() takes and
+# DIMACS does not, a legal one ("-0"), then tokens int() refuses.
 _ODD_TOKENS = ["\u0661", "-\u0661", "1_0", "+2", "-0", "x", "%", "0x1", "1e1"]
 
 
@@ -605,6 +611,40 @@ class TestDimacs:
     def test_malformed(self, text):
         with pytest.raises(FormulaSyntaxError):
             parse_dimacs(text)
+
+    def test_satlib_trailer_ends_the_clauses(self):
+        # SATLIB's benchmark files end with a "%" line and a "0" line.
+        assert parse_dimacs("p cnf 1 1\n1 0\n%\n0\n") == Var(1)
+        body = "c uf3-01.cnf\np cnf 3 2\n 1 -2 3 0\n-1 2 0\n"
+        assert parse_dimacs(body + "%\n0\n\n") == parse_dimacs(body)
+        assert parse_dimacs(body.replace("\n", "\r\n") + "  %\r\n0\r\n") == parse_dimacs(body)
+        # Nothing after the % line is read, not even a broken clause.
+        assert parse_dimacs(body + "% end\n1 x 0\np cnf 9 9\n") == parse_dimacs(body)
+
+    def test_clause_open_at_the_trailer_is_unterminated(self):
+        with pytest.raises(FormulaSyntaxError, match="not terminated") as exc:
+            parse_dimacs("p cnf 2 1\n1 2\n%\n0\n")
+        assert exc.value.offset == 14  # the first byte of the % line
+
+    @pytest.mark.parametrize(
+        "text,offset",
+        [
+            ("p cnf 10 1\n1_0 +2 \u0661 0\n", 11),
+            ("p cnf 10 1\n1 2 \u0661 0\n", 15),
+            ("p cnf 2 1\n-\u0661 0\n", 10),
+            ("p cnf 2 1\n1\u00a0+2 0\n", 13),  # after a 2-byte separator
+        ],
+    )
+    def test_literals_are_ascii_digits(self, text, offset):
+        with pytest.raises(FormulaSyntaxError, match="bad literal on line 2") as exc:
+            parse_dimacs(text)
+        assert exc.value.offset == offset
+
+    @pytest.mark.parametrize("problem", ["p cnf \u0663 1", "p cnf 1 \u0661", "p cnf 1_0 1", "p cnf +1 1"])
+    def test_problem_counts_are_ascii_digits(self, problem):
+        with pytest.raises(FormulaSyntaxError, match="negative or non-integer count on line 2") as exc:
+            parse_dimacs(f"c x\n{problem}\n1 0\n")
+        assert exc.value.offset == 4
 
     def test_clause_count_past_int_digit_limit(self):
         # int() refuses more than 4 300 digits with a plain ValueError.
