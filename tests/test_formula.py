@@ -467,7 +467,7 @@ def reference_parse_dimacs(text):
             token_at = at + len(line[: token.start()].encode())
             try:
                 if not re.fullmatch("-?[0-9]+", token.group()):
-                    raise ValueError(token.group())
+                    raise ValueError
                 literal_tokens.append((int(token.group()), token_at))
             except ValueError:
                 raise FormulaSyntaxError(f"bad literal on line {line_no}", token_at) from None
