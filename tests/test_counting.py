@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from selfred.formula import (
     rename_variables,
     self_reduce,
     serialize,
+    simplify,
     variable_mask,
     variables,
 )
@@ -428,6 +431,45 @@ class TestCountViaEnumerator:
         formula = parse("(x1 | x2) & (x2 | !x3) & x4")
         with pytest.raises(OracleContractViolation, match=message):
             count_via_enumerator(formula, oracle)
+
+    def test_queries_are_pinned(self):
+        # Every query text the counter sends, and every answer, over a batch
+        # that makes both query shapes: the formula with its one open child,
+        # and the formula with both children.  Oracles that digest the query
+        # text (exact_plus_offset) answer by those bytes, so they must not
+        # change when the query's construction is refactored.
+        stream = hashlib.sha256()
+        queries = two_open = 0
+        for style in ("exact_plus_offset", "woeginger"):
+            for n in range(1, 15):
+                for seed in range(6):
+                    formula = generate_random(n, 2 * n + 2, seed)
+                    oracle = honest_two_enumerator(style, seed=7)
+                    sent = []
+                    query = oracle._query
+
+                    def spy(f, query=query, sent=sent):
+                        sent.append(serialize(f))
+                        return query(f)
+
+                    oracle._query = spy
+                    count, chain = count_via_enumerator(formula, oracle)
+                    assert count == exact_model_count(formula)
+                    for text in sent:
+                        stream.update(hashlib.sha256(text.encode()).digest())
+                    stream.update(f"{count},{len(chain)};".encode())
+                    # No built-in style makes the counter descend, so a run
+                    # sends at most its root's query.
+                    assert len(sent) <= 1 and not chain
+                    root = simplify(formula)
+                    if sent:
+                        true_child, false_child, _ = self_reduce(root)
+                        two_open += type(true_child) is not Const and type(false_child) is not Const
+                    queries += len(sent)
+        assert (queries, two_open) == (140, 102)
+        assert stream.hexdigest() == (
+            "b3b986363017637af7e3eb867c7e4ab1af6f9737db97fa0d56d779891894ae95"
+        )
 
     def test_resolved_child_matches_neither_key(self):
         # For x1 & x2 the combined values 0 and 10 decode to the consistent
