@@ -6,17 +6,18 @@ F(x1..xn) and G(y1..ym) and fresh z, z',
     H = (F & z) | (!z & x1 & ... & xn & G & z')
 
 has exactly ||F|| * 2^(m+1) + ||G|| models, so both operand counts can be
-read off one combined count by divmod.  Operands are placed in disjoint
-index ranges first (an input formula shares variables with its own children,
-so renaming is not optional).  The children are renamed once, straight into
-their final range, and an operand whose variables already fill its range is
-used as it is.
+read off one combined count by divmod.  More operands nest: G is itself the
+packing of the rest, and ``decode_all`` repeats the divmod down that chain.
+Operands are placed in disjoint index ranges first (an input formula shares
+variables with its own children, so renaming is not optional).  Each operand
+is renamed once, straight into its final range, and an operand whose
+variables already fill its range is used as it is.
 
-The counter combines a formula with its open split children (both, nested,
-or the one that is not a constant), runs the enumerator once on that
-combination, and decodes each listed value into a candidate triple (a, b, c)
-of root/child counts; a constant child's count is its value.  The child
-candidates are lifted to the root's residual variable slots so that
+The counter combines a formula with its split children that are not
+constants (one or both) in one ``combine`` call, runs the enumerator once on
+that combination, and decodes each listed value into a candidate triple
+(a, b, c) of root/child counts; a constant child's count is its value.  The
+child candidates are lifted to the root's residual variable slots so that
 consistency is exactly a = b + c.  Inconsistent or out-of-range triples are
 discarded; if the survivors agree on a the count is settled, otherwise they
 pin an injective two-point linkage from one child's count to the root's, and
@@ -27,7 +28,6 @@ back up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 from .errors import ConstantOperand, InvalidParams, OracleContractViolation
@@ -38,6 +38,8 @@ from .formula import (
     Not,
     Or,
     Var,
+    brute_force_count,
+    parse,
     place_variables,
     self_reduce,
     simplify,
@@ -54,6 +56,7 @@ class CombineRecipe:
     right_var_count: int
     combined: Formula
     fresh_vars: tuple[int, int]
+    inner: CombineRecipe | None = None  # the packing of the operands after the first
 
 
 class DecodedCounts(NamedTuple):
@@ -85,15 +88,25 @@ class Linkage:
     triples: tuple[GuessTriple, GuessTriple]
 
 
-def combine(left: Formula, right: Formula, *, start: int = 1) -> CombineRecipe:
-    """Pack two formulas into one whose count encodes both operand counts.
+def combine(left: Formula, right: Formula, *rest: Formula, start: int = 1) -> CombineRecipe:
+    """Pack formulas into one whose count encodes every operand's count.
 
     The combined formula's variables are exactly start..start+n+m+1: the left
     operand's n variables in order from ``start``, the right operand's m after
     them, then the switch and guard.  An operand whose variables already form
-    its range is used as it is, not copied.
+    its range is used as it is, not copied.  With more than two operands, the
+    operands after the first are packed first, straight into the range after
+    the left operand's (``start + n``); that packing, kept as ``inner``, is
+    then the right operand and is used as it is.  Only the operands are ever
+    renamed, and the result is the same, node for node and in its text, as
+    the operands after the first packed from 1 and renamed up by n; oracles
+    that digest the text of their query rely on that.
     """
-    n, m = variable_mask(left).bit_count(), variable_mask(right).bit_count()
+    n = variable_mask(left).bit_count()
+    inner = combine(right, *rest, start=start + n) if rest else None
+    if inner is not None:
+        right = inner.combined
+    m = variable_mask(right).bit_count()
     if not n or not m:
         raise ConstantOperand("combine requires operands with at least one variable")
     renamed_left = place_variables(left, start)
@@ -115,6 +128,7 @@ def combine(left: Formula, right: Formula, *, start: int = 1) -> CombineRecipe:
         right_var_count=m,
         combined=combined,
         fresh_vars=(switch, guard),
+        inner=inner,
     )
 
 
@@ -131,40 +145,16 @@ def decode(recipe: CombineRecipe, combined_count: int) -> DecodedCounts:
     )
 
 
-@dataclass(frozen=True)
-class Combine3Recipe:
-    outer: CombineRecipe
-    inner: CombineRecipe
-
-
-def combine3(formula: Formula, left_child: Formula, right_child: Formula) -> Combine3Recipe:
-    """Nested combination of a formula with its two non-constant children.
-
-    The children are combined straight into the range after the formula's n
-    variables (``start = n + 1``), so the inner recipe's ``renamed_*`` and
-    ``fresh_vars`` sit n above those of a combination from 1; its counts and
-    ``decode`` are the same.  The outer combination then keeps the inner
-    formula as it is, and the formula too when its variables are x1..xn, so
-    only the two children are copied.  The result is the same, node for node
-    and in its text, as the children combined from 1 and renamed up by n;
-    oracles that digest the text of their query rely on that.
-    """
-    inner = combine(left_child, right_child, start=variable_mask(formula).bit_count() + 1)
-    outer = combine(formula, inner.combined)
-    return Combine3Recipe(outer=outer, inner=inner)
-
-
-def decode3(recipe: Combine3Recipe, combined_count: int) -> tuple[int, int, int, bool]:
-    """Decode one combined count into raw (a, b, c) plus an in-range flag."""
-    outer = decode(recipe.outer, combined_count)
-    inner = decode(recipe.inner, outer.right_count)
-    in_range = (
-        outer.left_in_range
-        and outer.right_in_range
-        and inner.left_in_range
-        and inner.right_in_range
-    )
-    return outer.left_count, inner.left_count, inner.right_count, in_range
+def decode_all(recipe: CombineRecipe, combined_count: int) -> tuple[tuple[int, ...], bool]:
+    """Every operand's count, in operand order, read off one combined count
+    by ``decode`` at each level of ``inner``, and whether all are in range."""
+    counts, in_range = [], True
+    while recipe is not None:
+        left, combined_count, left_in_range, right_in_range = decode(recipe, combined_count)
+        counts.append(left)
+        in_range = in_range and left_in_range and right_in_range
+        recipe = recipe.inner
+    return (*counts, combined_count), in_range
 
 
 def link_disagreeing_triples(
@@ -205,32 +195,22 @@ def _count(formula: Formula, oracle: TwoEnumeratorOracle, chain: list[Linkage], 
         return int(formula.value)
     slots = variable_mask(formula).bit_count() - 1
     true_child, false_child, _ = self_reduce(formula)
-    true_const = type(true_child) is Const
-    false_const = type(false_child) is Const
-
-    if true_const and false_const:
+    children = (true_child, false_child)
+    open_children = [child for child in children if type(child) is not Const]
+    if not open_children:
         return (int(true_child.value) + int(false_child.value)) << slots
 
-    if true_const or false_const:
-        # A constant child's raw count is its value; combine with the other.
-        recipe = combine(formula, false_child if true_const else true_child)
-        query = recipe.combined
-
-        def read(value: int) -> tuple[int, int, int, bool]:
-            a, raw, a_in_range, raw_in_range = decode(recipe, value)
-            b_raw = int(true_child.value) if true_const else raw
-            c_raw = int(false_child.value) if false_const else raw
-            return a, b_raw, c_raw, a_in_range and raw_in_range
-
-    else:
-        recipe3 = combine3(formula, true_child, false_child)
-        query, read = recipe3.outer.combined, partial(decode3, recipe3)
-
+    # A constant child's raw count is its value; the others are decoded.
+    recipe = combine(formula, *open_children)
     triples: list[GuessTriple] = []
-    for value in oracle.enumerate(query):
-        a, b_raw, c_raw, in_range = read(value)
+    for value in oracle.enumerate(recipe.combined):
+        (a, *open_counts), in_range = decode_all(recipe, value)
         if in_range:
-            b, c = _lift(b_raw, true_child, slots), _lift(c_raw, false_child, slots)
+            raw = iter(open_counts)
+            b, c = (
+                _lift(int(child.value) if type(child) is Const else next(raw), child, slots)
+                for child in children
+            )
             triples.append(GuessTriple(a, b, c))
 
     survivors: list[GuessTriple] = []
@@ -283,8 +263,6 @@ class NaiveFailureReport:
 
 def demonstrate_naive_failure() -> NaiveFailureReport:
     """Concrete witnesses for the failure of per-node guessing."""
-    from .formula import brute_force_count, parse
-
     oracle = honest_two_enumerator("woeginger")
     witnesses = []
     for text in ("x1 & !x1 & x2", "!x1 & x2"):

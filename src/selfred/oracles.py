@@ -15,7 +15,7 @@ never depend on interleaving; the counter is not atomic).
 
 Answers that break a contract's form raise ``OracleContractViolation``: a
 selector choice that is not one of its two arguments (by canonical text), an
-enumerator answer that is not a list of at most two non-negative ints, an
+enumerator answer that is not a list of one or two non-negative ints, an
 image that is not a string.  Nothing here walks a whole tree or looks inside
 formula text, which serves only as a key: the counter takes its split
 variable from ``selfred.formula``, and counts a conjunction's components in
@@ -157,9 +157,10 @@ class TwoEnumeratorOracle(_CountedOracle):
         if not isinstance(values, list):
             kind = type(values).__name__
             raise OracleContractViolation(f"2-enumerator answered a value of type {kind}, not list")
-        if len(values) > 2:
+        if not 1 <= len(values) <= 2:
             raise OracleContractViolation(
-                f"2-enumerator listed {len(values)} candidate counts {values}; at most two allowed"
+                f"2-enumerator listed {len(values) or 'no'} candidate counts {values}; "
+                "one or two allowed"
             )
         for value in values:
             if type(value) is not int:

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,13 +25,11 @@ from selfred.formula import (
 from selfred.generate import generate_corpus, generate_random
 from selfred.oracles import TwoEnumeratorOracle, exact_model_count, honest_two_enumerator
 from selfred.counting import (
-    Combine3Recipe,
     GuessTriple,
     combine,
-    combine3,
     count_via_enumerator,
     decode,
-    decode3,
+    decode_all,
     demonstrate_naive_failure,
     link_disagreeing_triples,
 )
@@ -86,6 +85,25 @@ class TestCombine:
             assert decoded.left_in_range and decoded.right_in_range
 
 
+    @pytest.mark.parametrize("operand_count", [2, 3, 4, 5])
+    def test_any_number_of_operands(self, corpus, operand_count):
+        small = [f for f in corpus if 1 <= len(variables(f)) <= 5]
+        groups = list(zip(*[iter(small)] * operand_count))[:20]
+        assert len(groups) == 20
+        for operands in groups:
+            recipe = combine(*operands, start=3)
+            widths = [len(variables(f)) for f in operands]
+            # Each packing level adds its switch and guard.
+            top = 3 + sum(widths) + 2 * (operand_count - 1)
+            assert variables(recipe.combined) == frozenset(range(3, top))
+            levels, inner = 0, recipe
+            while inner is not None:
+                levels, inner = levels + 1, inner.inner
+            assert levels == operand_count - 1
+            counts = tuple(brute_force_count(f) for f in operands)
+            assert decode_all(recipe, exact_model_count(recipe.combined)) == (counts, True)
+
+
 class TestDecode:
     def test_worked_values(self):
         recipe = combine(parse("x1"), parse("x1 | x2"))
@@ -102,14 +120,24 @@ class TestDecode:
         assert not high_right.right_in_range
 
 
+    def test_decode_all_flags_any_level_out_of_range(self):
+        # The inner packing of x2 and x3 has 4 variables, so the count is
+        # a * 2^5 + b * 2^2 + c.
+        recipe = combine(parse("x1"), parse("x2"), parse("x3"))
+        assert decode_all(recipe, 32 + 5) == ((1, 1, 1), True)
+        assert decode_all(recipe, 32 + 3) == ((1, 0, 3), False)  # c = 3 > 2^1
+        assert decode_all(recipe, 32 + 12) == ((1, 3, 0), False)  # b = 3 > 2^1
+        assert decode_all(recipe, 3 * 32) == ((3, 0, 0), False)  # a = 3 > 2^1
+
+
 class TestCombine3:
     def test_derived_triple(self):
         # Expected values frozen from brute force: 4 models, children 2 + 2.
         formula = parse("(x1 | x2) & (!x1 | x3)")
         true_child = parse("x3")
         false_child = parse("x2")
-        recipe = combine3(formula, true_child, false_child)
-        a, b, c, in_range = decode3(recipe, brute_force_count(recipe.outer.combined))
+        recipe = combine(formula, true_child, false_child)
+        (a, b, c), in_range = decode_all(recipe, brute_force_count(recipe.combined))
         assert in_range
         slots = len(variables(formula)) - 1
         lifted_b = b << (slots - len(variables(true_child)))
@@ -128,8 +156,8 @@ class TestCombine3:
             true_child, false_child, _ = self_reduce(formula)
             if isinstance(true_child, Const) or isinstance(false_child, Const):
                 continue
-            recipe = combine3(formula, true_child, false_child)
-            a, b, c, in_range = decode3(recipe, brute_force_count(recipe.outer.combined))
+            recipe = combine(formula, true_child, false_child)
+            (a, b, c), in_range = decode_all(recipe, brute_force_count(recipe.combined))
             assert in_range
             slots = len(variables(formula)) - 1
             lifted = GuessTriple(
@@ -176,17 +204,18 @@ def node_count(formula) -> int:
 
 
 class TestCombine3Layout:
-    """combine3 places the children straight into the range after the
-    formula's variables and copies nothing that is already in place."""
+    """combine with three operands places the children straight into the
+    range after the formula's variables and copies nothing that is already
+    in place."""
 
     def test_formula_in_place_is_reused(self):
         formula = parse("(x1 | x2) & (!x1 | x3)")
-        recipe = combine3(formula, parse("x3"), parse("x2"))
-        assert recipe.outer.renamed_left is formula
-        assert recipe.outer.renamed_right is recipe.inner.combined
+        recipe = combine(formula, parse("x3"), parse("x2"))
+        assert recipe.renamed_left is formula
+        assert recipe.renamed_right is recipe.inner.combined
 
     def test_inner_recipe_sits_above_the_formula(self):
-        recipe = combine3(parse("(x1 | x2) & (!x1 | x3)"), parse("x3"), parse("x2"))
+        recipe = combine(parse("(x1 | x2) & (!x1 | x3)"), parse("x3"), parse("x2"))
         assert serialize(recipe.inner.renamed_left) == "x4"
         assert serialize(recipe.inner.renamed_right) == "x5"
         assert recipe.inner.fresh_vars == (6, 7)
@@ -194,9 +223,9 @@ class TestCombine3Layout:
 
     def test_formula_with_gaps_is_renamed(self):
         formula = parse("x2 & (x5 | !x9)")
-        recipe = combine3(formula, parse("x5 | !x9"), parse("F | x9"))
-        assert recipe.outer.renamed_left == parse("x1 & (x2 | !x3)")
-        assert recipe.outer.renamed_right is recipe.inner.combined
+        recipe = combine(formula, parse("x5 | !x9"), parse("F | x9"))
+        assert recipe.renamed_left == parse("x1 & (x2 | !x3)")
+        assert recipe.renamed_right is recipe.inner.combined
 
     def test_start_offsets_every_variable(self):
         recipe = combine(parse("x3 & x5"), parse("x3 | x9"), start=10)
@@ -209,22 +238,22 @@ class TestCombine3Layout:
     def test_equals_the_two_step_construction(self, operands):
         formula, left_child, right_child = operands
         assume(all(variable_mask(f) for f in operands))
-        recipe = combine3(formula, left_child, right_child)
+        recipe = combine(formula, left_child, right_child)
         # The construction this replaces: combine the children from x1, then
         # rename that whole combination again, up past the formula's range.
         old_inner = combine(left_child, right_child)
         old_outer = combine(formula, old_inner.combined)
-        assert recipe.outer == old_outer
-        assert serialize(recipe.outer.combined) == serialize(old_outer.combined)
+        assert replace(recipe, inner=None) == old_outer
+        assert serialize(recipe.combined) == serialize(old_outer.combined)
 
         n = len(variables(formula))
         shift = {v: v + n for v in variables(old_inner.combined)}
         assert recipe.inner.renamed_left == rename_variables(old_inner.renamed_left, shift)
         assert recipe.inner.renamed_right == rename_variables(old_inner.renamed_right, shift)
         assert recipe.inner.fresh_vars == tuple(v + n for v in old_inner.fresh_vars)
-        old = Combine3Recipe(outer=old_outer, inner=old_inner)
-        count = exact_model_count(recipe.outer.combined)
-        assert decode3(recipe, count) == decode3(old, count)
+        old = replace(old_outer, inner=old_inner)
+        count = exact_model_count(recipe.combined)
+        assert decode_all(recipe, count) == decode_all(old, count)
 
     @pytest.mark.parametrize("n", range(14, 21))
     def test_build_renames_only_the_children(self, n, monkeypatch):
@@ -245,7 +274,7 @@ class TestCombine3Layout:
             if isinstance(true_child, Const) or isinstance(false_child, Const):
                 continue
             visited[0] = 0
-            combine3(formula, true_child, false_child)
+            combine(formula, true_child, false_child)
             assert visited[0] <= node_count(true_child) + node_count(false_child)
             checked += 1
         assert checked
@@ -348,9 +377,9 @@ class TestCountViaEnumerator:
         from selfred.oracles import exact_model_count
 
         formula = parse("(x1 | x2) & (!x1 | x3)")
-        recipe = combine3(formula, parse("x3"), parse("x2"))
-        target = serialize(recipe.outer.combined)
-        truth = brute_force_count(recipe.outer.combined)
+        recipe = combine(formula, parse("x3"), parse("x2"))
+        target = serialize(recipe.combined)
+        truth = brute_force_count(recipe.combined)
         assert truth == 133
 
         def enumerate_fn(f):
@@ -401,7 +430,7 @@ class TestCountViaEnumerator:
         from selfred.oracles import exact_model_count
 
         formula = parse("(x1 | x2) & (!x1 | x3)")
-        target = serialize(combine3(formula, parse("x3"), parse("x2")).outer.combined)
+        target = serialize(combine(formula, parse("x3"), parse("x2")).combined)
 
         def enumerate_fn(f):
             return [133, 136, 198] if serialize(f) == target else [exact_model_count(f)]
@@ -423,8 +452,9 @@ class TestCountViaEnumerator:
             ([2.0], "candidate of type float"),
             (5, "answered a value of type int, not list"),
             ([4, -1], "candidate -1 is negative"),
+            ([], "no candidate"),
         ],
-        ids=["str", "none", "float", "bare-int", "negative"],
+        ids=["str", "none", "float", "bare-int", "negative", "empty"],
     )
     def test_malformed_answer(self, answer, message):
         oracle = TwoEnumeratorOracle(lambda g: answer)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from selfred import oracles as oracles_module
-from selfred.counting import combine3, count_via_enumerator, decode3
+from selfred.counting import combine, count_via_enumerator, decode_all
 from selfred.errors import InvalidBound, OracleContractViolation, TooLarge
 from selfred.formula import (
     And,
@@ -481,7 +481,7 @@ class TestExclusiveDisjunctions:
         formula = generate_random(n, 2 * n + 2, seed)
         true_child, false_child, _ = self_reduce(formula)
         assume(not isinstance(true_child, Const) and not isinstance(false_child, Const))
-        combined = combine3(formula, true_child, false_child).outer.combined
+        combined = combine(formula, true_child, false_child).combined
         expected = brute_force_count(combined, limit=variable_mask(combined).bit_count())
         assert exact_model_count(combined) == expected
         with structural_only():
@@ -513,15 +513,15 @@ class TestExclusiveDisjunctions:
             true_child, false_child, _ = self_reduce(formula)
             if isinstance(true_child, Const) or isinstance(false_child, Const):
                 continue
-            recipe = combine3(formula, true_child, false_child)
-            combined_count, combined_tables = count_and_tables(recipe.outer.combined, budget=64)
+            recipe = combine(formula, true_child, false_child)
+            combined_count, combined_tables = count_and_tables(recipe.combined, budget=64)
             operand_counts, operand_tables = [], 0
             for operand in (formula, true_child, false_child):
                 count, used = count_and_tables(operand)
                 assert count == reference(operand)
                 operand_counts.append(count)
                 operand_tables += used
-            assert decode3(recipe, combined_count) == (*operand_counts, True)
+            assert decode_all(recipe, combined_count) == (tuple(operand_counts), True)
             assert combined_tables <= operand_tables + 2
 
 
@@ -609,7 +609,7 @@ class TestMostFrequentVariable:
             true_child, false_child, _ = self_reduce(formula)
             if isinstance(true_child, Const) or isinstance(false_child, Const):
                 continue
-            self.check(combine3(formula, true_child, false_child).outer.combined)
+            self.check(combine(formula, true_child, false_child).combined)
 
     @settings(max_examples=300, deadline=None)
     @given(bodies(indices=(1, 2, 12, 21, 121, 211)))
@@ -698,7 +698,7 @@ class TestStopAtModel:
                 queries = [formula, And(formula, Not(formula))]
                 true_child, false_child, _ = self_reduce(formula)
                 if not isinstance(true_child, Const) and not isinstance(false_child, Const):
-                    queries.append(combine3(formula, true_child, false_child).outer.combined)
+                    queries.append(combine(formula, true_child, false_child).combined)
                 for query in queries:
                     assert (stop_at_model(query) > 0) == (exact_model_count(query) > 0)
 
@@ -708,7 +708,7 @@ class TestStopAtModel:
         formula = generate_random(n, 2 * n + 2, seed)
         true_child, false_child, _ = self_reduce(formula)
         assume(not isinstance(true_child, Const) and not isinstance(false_child, Const))
-        combined = combine3(formula, true_child, false_child).outer.combined
+        combined = combine(formula, true_child, false_child).combined
         expected = brute_force_count(combined, limit=variable_mask(combined).bit_count()) > 0
         assert (stop_at_model(combined) > 0) == expected
         with structural_only():

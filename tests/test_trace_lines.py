@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfred import cli
-from selfred.counting import combine3
+from selfred.counting import combine
 from selfred.formula import And, Const, Not, Or, Var, parse, serialize
 from selfred.generate import generate_random
 from selfred.oracles import (
@@ -212,7 +212,7 @@ def test_linkage_descent_count_run_with_a_custom_enumerator(extra, child):
     # counter links the root's candidates to one child's and descends into
     # it; every other query gets its count alone.
     formula = parse("(x1 | x2) & (!x1 | x3)")
-    target = serialize(combine3(formula, parse("x3"), parse("x2")).outer.combined)
+    target = serialize(combine(formula, parse("x3"), parse("x2")).combined)
 
     def make_oracle(config):
         def enumerate_fn(f):
