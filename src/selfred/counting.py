@@ -186,10 +186,6 @@ def count_via_enumerator(
     return count << lift, chain
 
 
-def _lift(count: int, child: Formula, slots: int) -> int:
-    return count << (slots - variable_mask(child).bit_count())
-
-
 def _count(formula: Formula, oracle: TwoEnumeratorOracle, chain: list[Linkage], depth: int) -> int:
     if type(formula) is Const:
         return int(formula.value)
@@ -200,37 +196,36 @@ def _count(formula: Formula, oracle: TwoEnumeratorOracle, chain: list[Linkage], 
     if not open_children:
         return (int(true_child.value) + int(false_child.value)) << slots
 
-    # A constant child's raw count is its value; the others are decoded.
+    # A child's count lifts to the root's slots by this shift; a constant
+    # child's raw count is its value, the others are decoded.
+    shifts = [slots - variable_mask(child).bit_count() for child in children]
     recipe = combine(formula, *open_children)
-    triples: list[GuessTriple] = []
+    survivors: list[GuessTriple] = []
     for value in oracle.enumerate(recipe.combined):
         (a, *open_counts), in_range = decode_all(recipe, value)
-        if in_range:
-            raw = iter(open_counts)
-            b, c = (
-                _lift(int(child.value) if type(child) is Const else next(raw), child, slots)
-                for child in children
-            )
-            triples.append(GuessTriple(a, b, c))
-
-    survivors: list[GuessTriple] = []
-    for triple in triples:
+        if not in_range:
+            continue
+        raw = iter(open_counts)
+        b, c = (
+            (int(child.value) if type(child) is Const else next(raw)) << shift
+            for child, shift in zip(children, shifts)
+        )
+        triple = GuessTriple(a, b, c)
         if triple.consistent and triple not in survivors:
             survivors.append(triple)
     if not survivors:
         raise OracleContractViolation(
             "every decoded guess was inconsistent or out of range"
         )
-    root_candidates = {t.a for t in survivors}
-    if len(root_candidates) == 1:
+    if all(triple.a == survivors[0].a for triple in survivors):
         return survivors[0].a
 
     first, second = survivors
     side, mapping = link_disagreeing_triples(first, second)
-    child = true_child if side == "left" else false_child
+    which = 0 if side == "left" else 1
+    child = children[which]
     chain.append(Linkage(child=child, mapping=mapping, depth=depth, triples=(first, second)))
-    resolved = _count(child, oracle, chain, depth + 1)
-    resolved_lifted = _lift(resolved, child, slots)
+    resolved_lifted = _count(child, oracle, chain, depth + 1) << shifts[which]
     if resolved_lifted not in mapping:
         raise OracleContractViolation(
             f"resolved child count {resolved_lifted} matches neither linkage key "
@@ -273,8 +268,8 @@ def demonstrate_naive_failure() -> NaiveFailureReport:
             NaiveFailureWitness(
                 formula=formula,
                 root_count=brute_force_count(formula),
-                left_count=_lift(brute_force_count(true_child), true_child, slots),
-                right_count=_lift(brute_force_count(false_child), false_child, slots),
+                left_count=brute_force_count(true_child) << (slots - variable_mask(true_child).bit_count()),
+                right_count=brute_force_count(false_child) << (slots - variable_mask(false_child).bit_count()),
                 guess_sets=(
                     tuple(oracle.enumerate(formula)),
                     tuple(oracle.enumerate(true_child)),

@@ -399,10 +399,6 @@ def simplify(formula: Formula) -> Formula:
     no Const node remains except as the whole formula.  Simplified nodes are
     marked, and simplifying a marked node returns it at once.
     """
-    return _simplify(formula)
-
-
-def _simplify(formula: Formula) -> Formula:
     # Only simplified nodes are marked, so no node holds another tree.
     cls = type(formula)
     if cls is Var or cls is Const:
@@ -412,8 +408,8 @@ def _simplify(formula: Formula) -> Formula:
     if formula._simple:
         return formula
     if cls is Not:
-        return _negated(_simplify(formula.child), formula)
-    return _folded(cls, map(_simplify, formula.children), formula)
+        return _negated(simplify(formula.child), formula)
+    return _folded(cls, map(simplify, formula.children), formula)
 
 
 def _split(formula: Formula, index: int, bit: int) -> tuple[Formula, Formula]:
@@ -505,12 +501,7 @@ def split(formula: Formula, index: int) -> tuple[Formula, Formula]:
     """
     if not (index > 0 and variable_mask(formula) >> index & 1):
         raise UnknownVariable(f"variable x{index} does not occur in the formula")
-    return _split_simplified(formula, index)
-
-
-def _split_simplified(formula: Formula, index: int) -> tuple[Formula, Formula]:
-    # The caller has checked that x_index occurs in the formula.
-    simple = _simplify(formula)
+    simple = simplify(formula)
     bit = 1 << index
     if simple is not formula and not variable_mask(simple) & bit:
         return simple, simple  # simplification dropped the variable
@@ -526,7 +517,7 @@ def substitute(formula: Formula, index: int, value: bool) -> Formula:
 
 
 def self_reduce(formula: Formula) -> tuple[Formula, Formula, int]:
-    """Split on the least occurring variable, in one walk (``split``).
+    """``split`` on the least occurring variable.
 
     Returns (F with the variable True, F with it False, the variable); the
     input is satisfiable iff at least one of the two children is.
@@ -534,8 +525,8 @@ def self_reduce(formula: Formula) -> tuple[Formula, Formula, int]:
     mask = variable_mask(formula)
     if not mask:
         raise NoVariables("cannot self-reduce a constant formula")
-    split_var = (mask & -mask).bit_length() - 1
-    return (*_split_simplified(formula, split_var), split_var)
+    least = (mask & -mask).bit_length() - 1
+    return (*split(formula, least), least)
 
 
 def rename_variables(formula: Formula, mapping: Mapping[int, int]) -> Formula:

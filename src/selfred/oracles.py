@@ -5,7 +5,7 @@ declared contract (checked against brute force by the test suite).  Each
 keeps one memo by canonical text (``_by_text``), which serializes each
 query once and asks ``exact_model_count`` only on a miss: the selectors
 memoize whether a model exists, the tally and sparse oracles their whole
-image, and the 2-enumerator the model count.  The decision oracles' counter
+image, and the 2-enumerator its whole answer.  The decision oracles' counter
 stops at the first model.  That counter splits variable-disjoint
 conjunctions, sums mutually exclusive disjunctions and Shannon-expands the
 rest.  Oracles are deterministic, which the deciders' duplicate-image
@@ -291,16 +291,16 @@ def honest_two_enumerator(style: str, seed: int = 0) -> TwoEnumeratorOracle:
         raise InvalidParams(
             f"unknown enumerator style {style!r}; expected one of {ENUMERATOR_STYLES}"
         )
-    count = _by_text(lambda f, key: exact_model_count(f))
 
-    def enumerate_fn(f: Formula) -> list[int]:
-        c = count(f)
+    def answer(f: Formula, key: str) -> tuple[int, ...]:
+        c = exact_model_count(f)
         if style == "woeginger" and c in (0, 1):
-            return [0, 1]
-        delta = (-1, 1, c + 1)[_digest_int(seed, serialize(f), "offset") % 3]
-        return sorted({c, max(0, c + delta)})
+            return (0, 1)
+        delta = (-1, 1, c + 1)[_digest_int(seed, key, "offset") % 3]
+        return tuple(sorted({c, max(0, c + delta)}))
 
-    return TwoEnumeratorOracle(enumerate_fn)
+    ask = _by_text(answer)  # the memo keeps tuples; each query gets a fresh list
+    return TwoEnumeratorOracle(lambda f: list(ask(f)))
 
 
 # Every oracle asks here, on tree nodes and on combined formulas of about

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import Const, Formula, self_reduce, serialize, simplify, variable_mask, variables
+from .formula import Const, Formula, serialize, simplify, split, variable_mask, variables
 from .oracles import SelectorOracle
 
 
@@ -39,19 +39,19 @@ def decide_via_selector(
 ) -> tuple[bool, PathTrace]:
     """Decide satisfiability with exactly one selector call per variable."""
     current = simplify(formula)
-    if isinstance(current, Const):
+    if type(current) is Const:
         return current.value, PathTrace(steps=(), oracle_calls=0)
 
     steps: list[PathStep] = []
     calls_before = selector.call_counter
     for split_var in sorted(variables(current)):  # fixed walk order over the input's variables
-        if variable_mask(current) >> split_var & 1:  # then it is the least one left
-            true_child, false_child, _ = self_reduce(current)
+        if variable_mask(current) >> split_var & 1:
+            true_child, false_child = split(current, split_var)
         else:
             true_child = false_child = current
         current = selector.choose(true_child, false_child)
         steps.append(PathStep(split_var, current is true_child, serialize(current)))
 
-    assert isinstance(current, Const)
+    assert type(current) is Const
     trace = PathTrace(steps=tuple(steps), oracle_calls=selector.call_counter - calls_before)
     return current.value, trace

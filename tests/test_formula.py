@@ -1114,7 +1114,7 @@ class TestOneWalkSplit:
     def test_simplify_takes_no_assignment(self):
         import inspect
 
-        assert list(inspect.signature(formula_module._simplify).parameters) == ["formula"]
+        assert list(inspect.signature(formula_module.simplify).parameters) == ["formula"]
 
 
 class TestBlockColumns:

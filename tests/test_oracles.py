@@ -331,6 +331,25 @@ class TestTwoEnumerator:
         h.enumerate(Var(1))
         assert h.call_counter == 2
 
+    @pytest.mark.parametrize("style", ["exact_plus_offset", "woeginger"])
+    def test_each_query_is_serialized_once(self, monkeypatch, style):
+        calls = []
+        monkeypatch.setattr(oracles_module, "serialize", lambda f: calls.append(f) or serialize(f))
+        h = honest_two_enumerator(style, seed=5)
+        formulas = [generate_random(n, 2 * n + 2, n) for n in (3, 9, 18)]
+        for formula in formulas * 2:
+            h.enumerate(formula)
+        assert calls == formulas * 2
+
+    def test_answers_are_fresh_lists(self):
+        h = honest_two_enumerator("exact_plus_offset", seed=7)
+        first = h.enumerate(parse("x1 | x2"))
+        expected = list(first)
+        first.append(99)
+        second = h.enumerate(parse("x1 | x2"))
+        assert second == expected
+        assert second is not first
+
 
 class TestExactModelCount:
     def test_matches_brute_force(self, corpus):
