@@ -15,15 +15,17 @@ flattened, so the encoded length of a formula is stable under simplification.
 A split on a variable builds both children in one walk (``split``), after
 ``simplify``; ``substitute`` and ``self_reduce`` are that walk too.
 
-Functions here are pure, except that ``brute_force_count`` and
-``brute_force_sat`` without ``limit`` read their cap from the environment
-variable ``SELFRED_BRUTE_LIMIT`` (``brute_force_limit``).  ``Not``/``And``/
-``Or`` nodes cache their variable mask, canonical text and simplified mark,
-set to sentinels at construction and filled in on first use, idempotently,
-so formulas stay safe to share across threads; a mask too wide to keep
-stays ``None``, and leaves cache nothing.  Only this module walks whole
-trees or reads formula text.  Walkers dispatch on exact classes and raise
-``MalformedInput`` for the rest, node subclasses included.
+Truth tables count models (``brute_force_count``) or find the lowest one
+(``first_model``); a ``ModelStore`` holds a formula against all its models
+in one table walk.  Functions here are pure, except that ``first_model`` and
+``brute_force_*`` without ``limit`` read their cap from the environment
+variable ``SELFRED_BRUTE_LIMIT``.  ``Not``/``And``/``Or`` nodes cache their
+variable mask, canonical text and simplified mark, set to sentinels at
+construction and filled in on first use, idempotently, so formulas stay
+safe to share across threads; a mask too wide to keep stays ``None``, and
+leaves cache nothing.  Only this module walks whole trees or reads formula
+text.  Walkers dispatch on exact classes and raise ``MalformedInput`` for
+the rest, node subclasses included.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ _INDEX = re.compile(r"x(\d+)")
 # Variables whose assignments one truth-table block spans: their columns are
 # 2^16 bits (8 KB), and every other variable is constant within a block.
 _BLOCK_VARS = 16
+# Models a ModelStore keeps; a full store is emptied before it keeps another.
+MODEL_STORE_SIZE = 256
 # Longest clause count parse_dimacs converts; far more clauses than any text
 # holds, and far below int()'s limit on digits.
 _MAX_CLAUSE_COUNT_DIGITS = 18
@@ -632,15 +636,13 @@ def _truth_table(formula: Formula, masks: dict[int, int], full: int) -> int:
     raise _not_a_formula(formula)
 
 
-def _model_count(formula: Formula, limit: int | None, stop_at_model: bool) -> int:
-    """Models among all 2^k assignments, in blocks of 2^_BLOCK_VARS.
-
-    Assignment number m gives the variable of rank r the value of bit r of m.
-    The lowest _BLOCK_VARS variables get columns one block wide; the rest are
+def _tables(formula: Formula, limit: int | None) -> tuple[dict[int, int], Iterable[int]]:
+    """The columns and the truth tables of all 2^k assignments, one table
+    per block, each yielded with that block's columns in place.  Assignment
+    number m gives the variable of rank r the value of bit r of m.  The
+    lowest _BLOCK_VARS variables get columns one block wide; the rest are
     constant within a block, all-ones or all-zero, so block b holds the
-    assignments b * 2^_BLOCK_VARS onwards.  A formula whose variables fit
-    one block is evaluated once.  With ``stop_at_model`` the count stops
-    after the first block that holds a model."""
+    assignments b * 2^_BLOCK_VARS onwards."""
     effective = brute_force_limit() if limit is None else limit
     mask = variable_mask(formula)
     k = mask.bit_count()
@@ -654,16 +656,25 @@ def _model_count(formula: Formula, limit: int | None, stop_at_model: bool) -> in
         masks[lowest.bit_length() - 1] = column
         mask ^= lowest
     if not mask:  # every variable fits one block
-        return _truth_table(formula, masks, full).bit_count()
-    high = _indices(mask)
-    count = 0
+        return masks, (_truth_table(formula, masks, full),)
+    return masks, _block_tables(formula, masks, full, _indices(mask))
+
+
+def _block_tables(formula: Formula, masks: dict, full: int, high: list[int]) -> Iterator[int]:
     for block in range(1 << len(high)):
         for rank, index in enumerate(high):
             masks[index] = full if block >> rank & 1 else 0
-        count += _truth_table(formula, masks, full).bit_count()
-        if stop_at_model and count:
-            break
-    return count
+        yield _truth_table(formula, masks, full)
+
+
+def first_model(formula: Formula, limit: int | None = None) -> Assignment | None:
+    """The lowest-numbered model over vars(F), or None: the lowest set bit
+    of the first block's table that holds one, read off the columns."""
+    masks, tables = _tables(formula, limit)
+    for table in filter(None, tables):  # the generator waits at this block
+        low = (table & -table).bit_length() - 1
+        return {index: column >> low & 1 == 1 for index, column in masks.items()}
+    return None
 
 
 def brute_force_count(formula: Formula, limit: int | None = None) -> int:
@@ -673,10 +684,33 @@ def brute_force_count(formula: Formula, limit: int | None = None) -> int:
     block, no solver heuristics); this is the reference oracle everything
     else is checked against.
     """
-    return _model_count(formula, limit, stop_at_model=False)
+    return sum(map(int.bit_count, _tables(formula, limit)[1]))
 
 
 def brute_force_sat(formula: Formula, limit: int | None = None) -> bool:
     """Satisfiability by exhaustive enumeration, stopping at the first block
-    that holds a model."""
-    return _model_count(formula, limit, stop_at_model=True) > 0
+    that holds a model: ``first_model`` without building the model."""
+    return any(_tables(formula, limit)[1])
+
+
+class ModelStore(dict):
+    """Up to MODEL_STORE_SIZE models as truth-table columns: bit j of column
+    i is x_i in model j, and a variable that a model leaves out reads False."""
+
+    size = 0  # models kept
+
+    def __missing__(self, index: int) -> int:
+        return 0
+
+    def holds(self, formula: Formula) -> bool:
+        """True when some kept model satisfies the formula (one table walk)."""
+        return _truth_table(formula, self, (1 << self.size) - 1) != 0
+
+    def add(self, model: Assignment) -> None:
+        if self.size == MODEL_STORE_SIZE:
+            self.clear()
+            self.size = 0
+        for index, value in model.items():
+            if value:
+                self[index] |= 1 << self.size
+        self.size += 1

@@ -3,15 +3,15 @@
 Each constructor returns an oracle whose input/output behavior satisfies the
 declared contract (checked against brute force by the test suite).  Each
 keeps one memo by canonical text (``_by_text``), which serializes each
-query once and asks ``exact_model_count`` only on a miss: the selectors
-memoize whether a model exists, the tally and sparse oracles their whole
-image, and the 2-enumerator its whole answer.  The decision oracles' counter
-stops at the first model.  That counter splits variable-disjoint
-conjunctions, sums mutually exclusive disjunctions and Shannon-expands the
-rest.  Oracles are deterministic, which the deciders' duplicate-image
-pruning relies on.  The only mutable state is the call counter, the memo
-and sparse's arrival counter, so confine instances to one thread (results
-never depend on interleaving; the counter is not atomic).
+query once and answers only on a miss: the selectors memoize whether a
+model exists, the tally and sparse oracles their whole image, and the
+2-enumerator its whole answer, counted by ``exact_model_count``.  Decision
+oracles search (``find_model``) only when no model they kept (``ModelStore``)
+satisfies the query: a model of F with x_i = b is one of F[x_i := b].
+Oracles are deterministic, which the deciders' duplicate-image pruning
+relies on.  The only mutable state is the call counter, the memo, the model
+store and sparse's arrival counter, so confine instances to one thread
+(results never depend on interleaving; the counter is not atomic).
 
 Answers that break a contract's form raise ``OracleContractViolation``: a
 selector choice that is not one of its two arguments (by canonical text), an
@@ -19,7 +19,7 @@ enumerator answer that is not a list of one or two non-negative ints, an
 image that is not a string.  Nothing here walks a whole tree or looks inside
 formula text, which serves only as a key: the counter takes its split
 variable from ``selfred.formula``, and counts a conjunction's components in
-the order of their first conjunct.
+the order of their first conjunct, as the search does.
 """
 
 from __future__ import annotations
@@ -32,14 +32,16 @@ from typing import Callable, get_args
 from .errors import InvalidBound, InvalidParams, OracleContractViolation, TooLarge
 from .formula import (
     And,
+    Assignment,
     Const,
     Formula,
+    ModelStore,
     Not,
     Or,
     Var,
     _most_frequent_variable,
     brute_force_count,
-    brute_force_sat,
+    first_model,
     serialize,
     split,
     variable_mask,
@@ -190,14 +192,24 @@ def _by_text(answer: Callable[[Formula, str], object]) -> Callable[[Formula], ob
     return ask
 
 
-def _has_model(formula: Formula) -> bool:
-    # The counter is looked up when called, so rebinding its name reaches it.
-    return exact_model_count(formula, stop_at_model=True) > 0
+def _model_checker() -> Callable[[Formula], bool]:
+    """Whether a formula has a model, asked of the models kept so far first."""
+    store = ModelStore()
+
+    def has_model(formula: Formula) -> bool:
+        if store.holds(formula):
+            return True
+        if (model := find_model(formula)) is not None:  # looked up when called
+            store.add(model)
+        return model is not None
+
+    return has_model
 
 
 def honest_selector() -> SelectorOracle:
     """Selector that prefers its first argument, satisfiable ones first."""
-    sat = _by_text(lambda f, key: _has_model(f))
+    has_model = _model_checker()
+    sat = _by_text(lambda f, key: has_model(f))
 
     def choose(a: Formula, b: Formula) -> Formula:
         if sat(a):
@@ -212,7 +224,8 @@ def honest_selector() -> SelectorOracle:
 def adversarial_selector(seed: int) -> SelectorOracle:
     """Contract-respecting but unhelpful: whenever the contract allows either
     argument, the pick is pseudo-random from the seed."""
-    sat = _by_text(lambda f, key: _has_model(f))
+    has_model = _model_checker()
+    sat = _by_text(lambda f, key: has_model(f))
 
     def choose(a: Formula, b: Formula) -> Formula:
         sat_a, sat_b = sat(a), sat(b)
@@ -231,15 +244,16 @@ def simulated_tally_reduction(style: str) -> TallyReductionOracle:
     unsatisfiable formulas map to the non-tally token.  spread: T = the
     even-length zero strings; images are bucketed by encoded length mod 8.
     """
+    has_model = _model_checker()
     if style == "canonical":
-        image = lambda f, key: "00" if _has_model(f) else "0"
+        image = lambda f, key: "00" if has_model(f) else "0"
     elif style == "collision_rich":
-        image = lambda f, key: "0" if _has_model(f) else NON_TALLY_TOKEN
+        image = lambda f, key: "0" if has_model(f) else NON_TALLY_TOKEN
     elif style == "spread":
 
         def image(f: Formula, key: str) -> str:
             bucket = len(key) % 8
-            return "0" * (2 * bucket if _has_model(f) else 2 * bucket + 1)
+            return "0" * (2 * bucket if has_model(f) else 2 * bucket + 1)
 
     else:
         raise InvalidParams(f"unknown tally style {style!r}; expected one of {TALLY_STYLES}")
@@ -261,6 +275,7 @@ def simulated_sparse_coreduction(style: str, seed: int = 0) -> SparseCoReduction
     # under r as long as fewer than 2^16 satisfiable formulas are seen, far
     # beyond desk scale.
     arrivals = itertools.count()
+    has_model = _model_checker()
 
     if style == "singleton":
         q = PolynomialBound((1, 1))
@@ -274,7 +289,7 @@ def simulated_sparse_coreduction(style: str, seed: int = 0) -> SparseCoReduction
         raise InvalidParams(f"unknown sparse style {style!r}; expected one of {SPARSE_STYLES}")
 
     def image(f: Formula, key: str) -> str:
-        return "0" + format(next(arrivals), "b") if _has_model(f) else unsat_image(key)
+        return "0" + format(next(arrivals), "b") if has_model(f) else unsat_image(key)
 
     return SparseCoReductionOracle(_by_text(image), q, r)
 
@@ -303,7 +318,7 @@ def honest_two_enumerator(style: str, seed: int = 0) -> TwoEnumeratorOracle:
     return TwoEnumeratorOracle(lambda f: list(ask(f)))
 
 
-# Every oracle asks here, on tree nodes and on combined formulas of about
+# The 2-enumerator asks here, on tree nodes and on combined formulas of about
 # triple the input's variables, so it cannot lean on the naive brute force.
 # This counter is exact and structure-aware, using the two rules that make
 # counting polynomial on d-DNNF (Darwiche and Marquis 2002): conjunctions split
@@ -312,35 +327,23 @@ def honest_two_enumerator(style: str, seed: int = 0) -> TwoEnumeratorOracle:
 # The combiner's switch variable makes its formulas such disjunctions.
 # Literals count 1, everything else Shannon-splits on the most frequent
 # variable, and residues of at most 18 variables fall through to the truth
-# table.  With ``stop_at_model`` the answer is positive exactly when the
-# count is, and the recursion stops at the first model: tables stop at their
-# first block with a model, any disjunction at its first child with one, a
-# Shannon split at its first branch with one, and a conjunction, as always,
-# at its first component without one.
+# table.  The model search takes the same steps in the same order, and stops
+# at the first model: a table at its lowest, any disjunction at its first
+# child with one, a Shannon split at its first branch with one, and a
+# conjunction at its first component without one.
 _BIT_PARALLEL_LIMIT = 18
 _DEFAULT_COUNT_BUDGET = 50_000
 
 
-def exact_model_count(
-    formula: Formula, budget: int = _DEFAULT_COUNT_BUDGET, *, stop_at_model: bool = False
-) -> int:
-    """Exact model count over vars(formula), or with ``stop_at_model`` a
-    number that is positive exactly when the count is; raises TooLarge if
-    the formula resists decomposition within the work budget."""
+def exact_model_count(formula: Formula, budget: int = _DEFAULT_COUNT_BUDGET) -> int:
+    """Exact model count over vars(formula); raises TooLarge if the formula
+    resists decomposition within the work budget."""
     if variable_mask(formula).bit_count() <= _BIT_PARALLEL_LIMIT:
-        return _table_count(formula, stop_at_model)
-    return _component_count(formula, {}, [budget], stop_at_model)
+        return brute_force_count(formula, limit=_BIT_PARALLEL_LIMIT)
+    return _component_count(formula, {}, [budget])
 
 
-def _table_count(formula: Formula, stop_at_model: bool) -> int:
-    if stop_at_model:
-        return int(brute_force_sat(formula, limit=_BIT_PARALLEL_LIMIT))
-    return brute_force_count(formula, limit=_BIT_PARALLEL_LIMIT)
-
-
-def _component_count(
-    formula: Formula, memo: dict[str, int], remaining: list[int], stop_at_model: bool
-) -> int:
+def _component_count(formula: Formula, memo: dict[str, int], remaining: list[int]) -> int:
     cls = type(formula)
     if cls is Const:
         return 1 if formula.value else 0
@@ -354,30 +357,73 @@ def _component_count(
         return memo[key]
     k = variable_mask(formula).bit_count()
     if k <= _BIT_PARALLEL_LIMIT:
-        result = _table_count(formula, stop_at_model)
+        result = brute_force_count(formula, limit=_BIT_PARALLEL_LIMIT)
     elif cls is And and len(groups := _disjoint_groups(formula.children)) > 1:
         result = 1
         for group in groups:
-            part = group[0] if len(group) == 1 else And(*group)
-            result *= _component_count(part, memo, remaining, stop_at_model)
+            result *= _component_count(group[0] if len(group) == 1 else And(*group), memo, remaining)
             if result == 0:
                 break
     else:
         # One lifted sum: each part's count times 2^(slots - its variables),
-        # over an exclusive disjunction's children (any disjunction's when
-        # only a model is sought) or over a Shannon split's two branches.
-        if cls is Or and (stop_at_model or _pairwise_contradictory(formula.children)):
+        # over an exclusive disjunction's children or a Shannon split's branches.
+        if cls is Or and _pairwise_contradictory(formula.children):
             parts, slots = formula.children, k
         else:
             parts, slots = split(formula, _most_frequent_variable(formula)), k - 1
         result = 0
         for part in parts:
-            part_count = _component_count(part, memo, remaining, stop_at_model)
+            part_count = _component_count(part, memo, remaining)
             result += part_count << (slots - variable_mask(part).bit_count())
-            if stop_at_model and result:
-                break
     memo[key] = result
     return result
+
+
+def find_model(formula: Formula, budget: int = _DEFAULT_COUNT_BUDGET) -> Assignment | None:
+    """A model: values of some of the formula's variables, every extension of
+    which satisfies it.  None when it has none; raises TooLarge if the
+    formula resists decomposition within the work budget."""
+    if variable_mask(formula).bit_count() <= _BIT_PARALLEL_LIMIT:
+        return first_model(formula, limit=_BIT_PARALLEL_LIMIT)
+    return _component_model(formula, {}, [budget])
+
+
+def _component_model(formula: Formula, memo: dict, remaining: list[int]) -> Assignment | None:
+    cls = type(formula)
+    if cls is Const:
+        return {} if formula.value else None
+    if cls is Var:
+        return {formula.index: True}
+    if cls is Not and type(formula.child) is Var:
+        return {formula.child.index: False}
+    remaining[0] -= 1
+    if remaining[0] < 0:
+        raise TooLarge("formula resists decomposition within the counting budget")
+    key = serialize(formula)
+    if key in memo:
+        return memo[key]
+    if variable_mask(formula).bit_count() <= _BIT_PARALLEL_LIMIT:
+        model = first_model(formula, limit=_BIT_PARALLEL_LIMIT)
+    elif cls is And and len(groups := _disjoint_groups(formula.children)) > 1:
+        model = {}
+        for group in groups:
+            part = _component_model(group[0] if len(group) == 1 else And(*group), memo, remaining)
+            if part is None:
+                model = None
+                break
+            model.update(part)  # memoized models are shared, so only a fresh one grows
+    elif cls is Or:
+        for child in formula.children:
+            if (model := _component_model(child, memo, remaining)) is not None:
+                break
+    else:
+        index = _most_frequent_variable(formula)
+        for value, branch in zip((True, False), split(formula, index)):
+            if (model := _component_model(branch, memo, remaining)) is not None:
+                model = {**model, index: value}
+                break
+    memo[key] = model
+    return model
 
 
 def _disjoint_groups(children: tuple[Formula, ...]) -> list[list[Formula]]:

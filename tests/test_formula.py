@@ -27,8 +27,10 @@ from selfred import formula as formula_module
 from selfred.formula import (
     MAX_INDEX_DIGITS,
     MAX_NESTING,
+    MODEL_STORE_SIZE,
     And,
     Const,
+    ModelStore,
     Not,
     Or,
     Var,
@@ -36,6 +38,7 @@ from selfred.formula import (
     brute_force_count,
     brute_force_sat,
     evaluate,
+    first_model,
     parse,
     parse_dimacs,
     rename_variables,
@@ -372,6 +375,116 @@ class TestBlockedTruthTable:
         with pytest.raises(TooLarge):
             brute_force_count(formula, limit=19)
         assert blocks[0] == 0
+
+
+def lowest_model_by_enumeration(formula):
+    """The model with the lowest assignment number m, where the variable of
+    rank r takes bit r of m, found by evaluating one assignment at a time."""
+    occurring = sorted(variables(formula))
+    for number in range(1 << len(occurring)):
+        assignment = {index: bool(number >> rank & 1) for rank, index in enumerate(occurring)}
+        if evaluate(formula, assignment):
+            return assignment
+    return None
+
+
+class TestFirstModel:
+    @settings(max_examples=300, deadline=None)
+    @given(formulas())
+    def test_lowest_model_by_enumeration(self, formula):
+        assert first_model(formula) == lowest_model_by_enumeration(formula)
+
+    @pytest.mark.parametrize("k", [16, 17, 18, 20])
+    def test_models_across_blocks(self, k):
+        rng = random.Random(k)
+        for seed in range(3):
+            formula = with_constant_children(generate_random(k, 2 * k + 2, 700 * k + seed), rng)
+            model = first_model(formula)
+            assert (model is None) == (brute_force_count(formula) == 0)
+            if model is not None:
+                assert set(model) == variables(formula)
+                assert evaluate(formula, model)
+
+    def test_only_model_in_last_block(self, monkeypatch):
+        blocks = count_blocks(monkeypatch)
+        assert first_model(And(*(Var(i) for i in range(1, 21)))) == {i: True for i in range(1, 21)}
+        assert blocks[0] == 1 << (20 - 16)
+
+    def test_stops_at_first_block_with_a_model(self, monkeypatch):
+        blocks = count_blocks(monkeypatch)
+        # x17 is the lowest variable that is constant within a block; x1..x16
+        # are all True at assignment 2^16 - 1, in block 0 only when x17 is False.
+        formula = And(*(Var(i) for i in range(1, 17)), Or(Var(17), Var(18)), Not(Var(19)))
+        assert first_model(formula) == {**{i: True for i in range(1, 17)}, 17: True, 18: False, 19: False}
+        assert blocks[0] == 2
+
+    def test_constants_and_limits(self, monkeypatch):
+        assert first_model(Const(True)) == {}
+        assert first_model(Const(False)) is None
+        assert first_model(parse("x1 & !x1")) is None
+        blocks = count_blocks(monkeypatch)
+        with pytest.raises(TooLarge):
+            first_model(Or(*(Var(i) for i in range(1, 21))), limit=19)
+        assert blocks[0] == 0
+        monkeypatch.setenv("SELFRED_BRUTE_LIMIT", "2")
+        with pytest.raises(TooLarge):
+            first_model(parse("x1 & x2 & x3"))
+
+
+# A model as a store keeps it: values of some variables among x1..x6.
+MODELS = st.dictionaries(st.integers(1, 6), st.booleans())
+
+
+def satisfied_by(formula, model) -> bool:
+    """The formula under the model, with the variables it leaves out False."""
+    return evaluate(formula, {index: model.get(index, False) for index in variables(formula)})
+
+
+class TestModelStore:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(MODELS, max_size=6), st.lists(formulas(max_vars=6), min_size=1, max_size=5))
+    def test_holds_exactly_when_a_kept_model_satisfies(self, models, queries):
+        store = ModelStore()
+        for model in models:
+            store.add(model)
+        assert store.size == len(models)
+        for query in queries:
+            assert store.holds(query) == any(satisfied_by(query, model) for model in models)
+
+    def test_empty_store_holds_nothing(self):
+        store = ModelStore()
+        for text in ("T", "!x1", "x1 | !x1"):
+            assert not store.holds(parse(text))
+
+    def test_variables_a_model_leaves_out_read_false(self):
+        store = ModelStore()
+        store.add({1: True})
+        assert store.holds(parse("x1 & !x2"))
+        assert not store.holds(parse("x1 & x2"))
+        assert store[2] == 0 and 2 not in store  # reading a column adds none
+
+    def test_emptied_when_full(self):
+        store = ModelStore()
+        first = {1: True, 2: True}
+        store.add(first)
+        for number in range(1, MODEL_STORE_SIZE):
+            store.add({1: False, 2 + number: True})
+        assert store.size == MODEL_STORE_SIZE
+        assert store.holds(parse("x1 & x2"))  # only the first model sets x1
+        assert store.holds(parse(f"x{MODEL_STORE_SIZE + 1}"))
+        store.add({3: True})
+        assert store.size == 1
+        assert not store.holds(parse("x1 | x2"))
+        assert not store.holds(parse(f"x{MODEL_STORE_SIZE + 1}"))
+        assert store.holds(parse("x3 & !x1"))
+
+    def test_models_are_read_not_kept(self):
+        store = ModelStore()
+        model = {1: True}
+        store.add(model)
+        model[1] = False
+        assert store.holds(Var(1))
+        assert model == {1: False}
 
 
 class TestSelfReducibilityProperties:
@@ -1019,6 +1132,20 @@ ENTRY_POINTS = {
     "combine_left": lambda f: combine(f, Var(1)),
     "combine_right": lambda f: combine(Var(1), f),
 }
+
+
+class TestModelSearchNotAFormula:
+    @pytest.mark.parametrize("value", NOT_FORMULAS, ids=repr)
+    def test_first_model(self, value):
+        with pytest.raises(MalformedInput, match="^not a formula"):
+            first_model(value)
+
+    @pytest.mark.parametrize("value", NOT_FORMULAS, ids=repr)
+    def test_store(self, value):
+        store = ModelStore()
+        store.add({1: True, 2: True})
+        with pytest.raises(MalformedInput, match="^not a formula"):
+            store.holds(value)
 
 
 class TestMalformedInput:

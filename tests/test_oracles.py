@@ -19,6 +19,7 @@ from selfred.formula import (
     _most_frequent_variable,
     brute_force_count,
     brute_force_sat,
+    evaluate,
     parse,
     self_reduce,
     serialize,
@@ -39,6 +40,7 @@ from selfred.oracles import (
     TwoEnumeratorOracle,
     adversarial_selector,
     exact_model_count,
+    find_model,
     honest_selector,
     honest_two_enumerator,
     is_tally_string,
@@ -652,34 +654,32 @@ class TestUnionFindSplit:
 
 
 def exact_counts_only(monkeypatch) -> list[bool]:
-    """Make every oracle count exactly, as they did before the decision
-    oracles stopped at the first model; returns the stop_at_model flag of
-    every call."""
-    original = oracles_module.exact_model_count
+    """Make every decision oracle count exactly, as they did before they
+    searched for models: no kept model answers, and each search is an exact
+    count.  Returns, for every search, that it was counted exactly."""
     asked = []
 
-    def exact(formula, budget=oracles_module._DEFAULT_COUNT_BUDGET, *, stop_at_model=False):
-        asked.append(stop_at_model)
-        return original(formula, budget)
+    def exact(formula, budget=oracles_module._DEFAULT_COUNT_BUDGET):
+        asked.append(True)
+        return {} if exact_model_count(formula, budget) > 0 else None
 
-    monkeypatch.setattr(oracles_module, "exact_model_count", exact)
+    monkeypatch.setattr(oracles_module, "find_model", exact)
+    monkeypatch.setattr(oracles_module.ModelStore, "holds", lambda store, formula: False)
     return asked
 
 
 def refuse_exact_counts(monkeypatch):
-    """Make exact counting raise, so that only stop-at-model answers remain."""
-    original = oracles_module.exact_model_count
+    """Make exact counting raise, so that only model searches remain."""
 
-    def stop_only(formula, budget=oracles_module._DEFAULT_COUNT_BUDGET, *, stop_at_model=False):
-        if not stop_at_model:
-            raise AssertionError("exact count asked for")
-        return original(formula, budget, stop_at_model=True)
+    def refused(formula, *args, **kwargs):
+        raise AssertionError("exact count asked for")
 
-    monkeypatch.setattr(oracles_module, "exact_model_count", stop_only)
+    monkeypatch.setattr(oracles_module, "exact_model_count", refused)
 
 
 def stop_at_model(formula):
-    return exact_model_count(formula, stop_at_model=True)
+    """1 when the model search finds a model, else 0."""
+    return int(oracles_module.find_model(formula) is not None)
 
 
 # Disjunctions whose children share models, and conjunctions of several
@@ -754,9 +754,9 @@ class TestStopAtModel:
 
     def test_the_enumerator_still_counts_exactly(self, monkeypatch, corpus):
         tables = []
-        reference = oracles_module.brute_force_sat
+        reference = oracles_module.first_model
         monkeypatch.setattr(
-            oracles_module, "brute_force_sat", lambda *a, **k: tables.append(a) or reference(*a, **k)
+            oracles_module, "first_model", lambda *a, **k: tables.append(a) or reference(*a, **k)
         )
         for formula in corpus[:60]:
             for style in ENUMERATOR_STYLES:
@@ -798,7 +798,133 @@ class TestStopAtModel:
         stopping = outputs("stop")
         asked = exact_counts_only(monkeypatch)
         assert outputs("exact") == stopping
-        assert asked and all(asked)  # each call asked to stop, and was counted exactly
+        assert asked and all(asked)  # each search was counted exactly
+
+
+def check_model(formula, model, satisfiable):
+    """The search found a model exactly when the formula has one, and every
+    extension of the model satisfies the formula: with the variables it
+    leaves out all False, or all True."""
+    assert (model is not None) == satisfiable
+    if model is not None:
+        occurring = variables(formula)
+        assert set(model) <= occurring
+        for rest in (False, True):
+            assert evaluate(formula, {index: model.get(index, rest) for index in occurring})
+
+
+@st.composite
+def random_formulas(draw, max_vars):
+    """A generated formula of up to ``max_vars`` variables, its
+    contradiction with its own negation, or its negation."""
+    n = draw(st.integers(1, max_vars))
+    formula = generate_random(n, draw(st.integers(n, 3 * n + 2)), draw(st.integers(0, 10**6)))
+    return draw(st.sampled_from([formula, And(formula, Not(formula)), Not(formula)]))
+
+
+class TestFindModel:
+    @settings(max_examples=60, deadline=None)
+    @given(random_formulas(24))
+    def test_found_exactly_when_satisfiable_up_to_24_variables(self, formula):
+        check_model(formula, find_model(formula), brute_force_count(formula, limit=24) > 0)
+
+    def test_found_exactly_when_satisfiable_above_the_table_cutoff(self):
+        for n in (19, 21, 24):
+            for seed in range(3):
+                big = generate_random(n, 2 * n + 2, seed)
+                for formula in (big, And(big, Not(big)), Not(big)):
+                    check_model(formula, find_model(formula), brute_force_count(formula, limit=24) > 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(EXCLUSIVE, OVERLAPPING_OR, GROUPED_AND, bodies(), random_formulas(8)))
+    def test_every_rule(self, formula):
+        satisfiable = brute_force_count(formula) > 0
+        check_model(formula, find_model(formula), satisfiable)
+        with structural_only():
+            check_model(formula, find_model(formula), satisfiable)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 7), st.integers(0, 10**6))
+    def test_combined_formulas(self, n, seed):
+        formula = generate_random(n, 2 * n + 2, seed)
+        true_child, false_child, _ = self_reduce(formula)
+        assume(not isinstance(true_child, Const) and not isinstance(false_child, Const))
+        combined = combine(formula, true_child, false_child).combined
+        satisfiable = brute_force_count(combined, limit=variable_mask(combined).bit_count()) > 0
+        check_model(combined, find_model(combined), satisfiable)
+        with structural_only():
+            check_model(combined, find_model(combined), satisfiable)
+
+    def test_each_rule_by_hand(self):
+        with structural_only():
+            assert find_model(parse("x3")) == {3: True}
+            assert find_model(parse("!x3")) == {3: False}
+            assert find_model(Const(True)) == {}
+            assert find_model(Const(False)) is None
+            # Two variable-disjoint groups, each a disjunction: the union of
+            # the first disjunct's model of each.
+            assert find_model(parse("(x1 | x2) & (!x3 | x4)")) == {1: True, 3: False}
+            assert find_model(parse("(x1 | x2) & x3 & !x3")) is None
+            # A Shannon split on x1, the most frequent variable: the True
+            # branch x2 & !x2 has no model, so the False branch's is taken.
+            assert find_model(parse("(x1 | x2) & (x1 | !x2) & !x1 & x3")) is None
+            assert find_model(parse("(x1 & x2 & !x2 | !x1 & x3) & (x1 | x3)")) == {3: True, 1: False}
+
+    def test_found_exactly_when_the_count_is_positive_above_24_variables(self):
+        for n in (25, 30, 35, 40):
+            for seed in range(3):
+                formula = generate_random(n, 2 * n + 2, seed)
+                queries = [formula, And(formula, Not(formula)), Not(formula)]
+                true_child, false_child, _ = self_reduce(formula)
+                if not isinstance(true_child, Const) and not isinstance(false_child, Const):
+                    queries.append(combine(formula, true_child, false_child).combined)
+                for query in queries:
+                    check_model(query, find_model(query), exact_model_count(query) > 0)
+
+    def test_budget_exhaustion(self):
+        # The stop-at-first-model count spent its budget in the same order:
+        # it raised on these three formulas below budgets 2, 20 and 6.
+        hard = generate_random(30, 120, seed=13)
+        for formula, enough, satisfiable in (
+            (hard, 2, True),
+            (And(hard, Not(hard)), 20, False),
+            (Not(hard), 6, True),
+        ):
+            with pytest.raises(TooLarge):
+                find_model(formula, budget=enough - 1)
+            check_model(formula, find_model(formula, budget=enough), satisfiable)
+        with pytest.raises(TooLarge):
+            find_model(And(hard, Not(hard)), budget=3)
+
+    def test_memoized_models_are_not_changed(self):
+        # Both conjuncts of each group hold the same subformula; its memoized
+        # model must come out of the union unchanged.
+        shared = generate_random(20, 42, 3)
+        formula = And(Or(shared, Var(30)), Or(shared, Var(31)), Var(32))
+        model = find_model(formula)
+        check_model(formula, model, True)
+        assert find_model(shared) == find_model(shared)
+        assert 32 not in find_model(shared)
+
+    def test_kept_models_answer_without_a_search(self, monkeypatch):
+        searched = []
+        original = oracles_module.find_model
+        monkeypatch.setattr(
+            oracles_module, "find_model", lambda f, *a: searched.append(serialize(f)) or original(f, *a)
+        )
+        oracle = simulated_tally_reduction("canonical")
+        formula = parse("(x1 | x2) & (x3 | !x1)")
+        assert oracle.map(formula) == "00"
+        model = original(formula)
+        assert searched == [serialize(formula)]
+        # Children consistent with the kept model are answered from it.
+        index = min(model)
+        child = self_reduce(formula)[0 if model[index] else 1]
+        assert oracle.map(child) == "00"
+        assert searched == [serialize(formula)]
+        # An unsatisfiable query always searches, and adds no model.
+        assert oracle.map(parse("x1 & !x1")) == "0"
+        assert searched == [serialize(formula), "x1 & !x1"]
 
 
 # Every shipped oracle, with the one query method a caller asks it through.
@@ -822,15 +948,16 @@ SIMULATED_ORACLES = {
 
 def counted_exact_counts(monkeypatch) -> Counter:
     """Record the canonical text of every formula the oracles ask the
-    counter about."""
-    original = oracles_module.exact_model_count
+    counter or the model search about."""
     asked = Counter()
+    for name in ("exact_model_count", "find_model"):
+        original = getattr(oracles_module, name)
 
-    def recorded(formula, *args, **kwargs):
-        asked[serialize(formula)] += 1
-        return original(formula, *args, **kwargs)
+        def recorded(formula, *args, original=original, **kwargs):
+            asked[serialize(formula)] += 1
+            return original(formula, *args, **kwargs)
 
-    monkeypatch.setattr(oracles_module, "exact_model_count", recorded)
+        monkeypatch.setattr(oracles_module, name, recorded)
     return asked
 
 
