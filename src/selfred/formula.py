@@ -17,9 +17,14 @@ A split on a variable builds both children in one walk (``split``), after
 
 Truth tables count models (``brute_force_count``) or find the lowest one
 (``first_model``); a ``ModelStore`` holds a formula against all its models
-in one table walk.  Functions here are pure, except that ``first_model`` and
-``brute_force_*`` without ``limit`` read their cap from the environment
-variable ``SELFRED_BRUTE_LIMIT``.  ``Not``/``And``/``Or`` nodes cache their
+in one table walk.  The one walker (``_truth_table``) treats all-ones and
+all-zero columns as constants; past one block of assignments, subtrees
+that hold no block-constant variable are tabulated once per call.
+Renamed copies are built in one step, keeping the source's marks.
+
+Functions here are pure, except that ``first_model`` and ``brute_force_*``
+without ``limit`` read their cap from the environment variable
+``SELFRED_BRUTE_LIMIT``.  ``Not``/``And``/``Or`` nodes cache their
 variable mask, canonical text and simplified mark, set to sentinels at
 construction and filled in on first use, idempotently, so formulas stay
 safe to share across threads; a mask too wide to keep stays ``None``, and
@@ -480,18 +485,33 @@ def _marked(node: Formula) -> Formula:
     return node
 
 
-def _map_vars(formula: Formula, mapping: Mapping[int, Formula]) -> Formula:
-    """Replace each variable that ``mapping`` covers by its image."""
+def _map_vars(formula: Formula, images: Mapping[int, Var]) -> Formula:
+    """The formula with each variable replaced by its image, which
+    ``images`` gives for every occurring variable.  Renaming a flat formula
+    leaves it flat, so each connective is copied as it is, with fresh caches
+    and the source's simplified mark."""
     cls = type(formula)
     if cls is Var:
-        return mapping.get(formula.index, formula)
+        return images[formula.index]
     if cls is Not:
-        return Not(_map_vars(formula.child, mapping))
+        copy = Not(_map_vars(formula.child, images))
+        _set_simple(copy, formula._simple)
+        return copy
     if cls is And or cls is Or:
-        return cls(*[_map_vars(c, mapping) for c in formula.children])
+        return _flat(cls, tuple([_map_vars(c, images) for c in formula.children]), formula._simple)
     if cls is Const:
         return formula
     raise _not_a_formula(formula)
+
+
+def _flat(cls: type, children: tuple[Formula, ...], simple: bool = False) -> Formula:
+    """``cls(*children)`` for two or more children, none a ``cls``, built
+    without the constructor's flattening pass: fresh caches and the given
+    simplified mark."""
+    node = object.__new__(cls)
+    object.__setattr__(node, "children", children)
+    _set_mask(node, None), _set_text(node, None), _set_simple(node, simple)
+    return node
 
 
 def split(formula: Formula, index: int) -> tuple[Formula, Formula]:
@@ -612,24 +632,45 @@ def _block_columns(width: int) -> tuple[int, ...]:
 
 
 def _truth_table(formula: Formula, masks: dict[int, int], full: int) -> int:
+    """The formula's truth table: bit m is its value in assignment number m,
+    where ``masks`` gives each variable's column and ``full`` has a bit set
+    for every assignment.  Raises KeyError for a variable with no column.
+
+    The ``full`` object and 0 are constants: an ``And`` skips ``full`` and
+    stops at 0, an ``Or`` stops at ``full``, a ``Not`` swaps the two, and
+    the first other operand is kept without a copy.  A connective whose
+    table equals ``full`` returns ``full`` itself, so columns that are
+    ``full`` or 0 propagate by identity.  Children are read in order, and a
+    connective reads none after its value is settled."""
     cls = type(formula)
     if cls is Var:
         return masks[formula.index]
     if cls is Not:
-        return full ^ _truth_table(formula.child, masks, full)
+        table = _truth_table(formula.child, masks, full)
+        if table is full:
+            return 0
+        return full ^ table if table else full
     if cls is And:
         result = full
         for child in formula.children:
-            result &= _truth_table(child, masks, full)
-            if not result:
-                break
-        return result
+            table = _truth_table(child, masks, full)
+            if not table:
+                return 0
+            if table is not full:
+                result = table if result is full else result & table
+                if not result:
+                    return 0
+        return full if result == full else result
     if cls is Or:
         result = 0
         for child in formula.children:
-            result |= _truth_table(child, masks, full)
-            if result == full:
-                break
+            table = _truth_table(child, masks, full)
+            if table is full:
+                return full
+            if table:
+                result = result | table if result else table
+                if result == full:
+                    return full
         return result
     if cls is Const:
         return full if formula.value else 0
@@ -644,7 +685,7 @@ def _tables(formula: Formula, limit: int | None) -> tuple[dict[int, int], Iterab
     constant within a block, all-ones or all-zero, so block b holds the
     assignments b * 2^_BLOCK_VARS onwards."""
     effective = brute_force_limit() if limit is None else limit
-    mask = variable_mask(formula)
+    occurring = mask = variable_mask(formula)
     k = mask.bit_count()
     if k > effective:
         raise TooLarge(f"{k} variables exceeds the exhaustive limit of {effective}")
@@ -657,14 +698,84 @@ def _tables(formula: Formula, limit: int | None) -> tuple[dict[int, int], Iterab
         mask ^= lowest
     if not mask:  # every variable fits one block
         return masks, (_truth_table(formula, masks, full),)
-    return masks, _block_tables(formula, masks, full, _indices(mask))
+    return masks, _block_tables(formula, masks, full, occurring, mask)
 
 
-def _block_tables(formula: Formula, masks: dict, full: int, high: list[int]) -> Iterator[int]:
+def _block_tables(
+    formula: Formula, masks: dict, full: int, occurring: int, high_bits: int
+) -> Iterator[int]:
+    """The block tables: block-invariant subtrees are tabulated once, by
+    stand-ins (``_block_variant``), and the rest is walked in every block."""
+    columns = _BlockColumns(masks, full, occurring)
+    reduced = _block_variant(formula, high_bits, columns)
+    high = _indices(high_bits)
     for block in range(1 << len(high)):
         for rank, index in enumerate(high):
-            masks[index] = full if block >> rank & 1 else 0
-        yield _truth_table(formula, masks, full)
+            masks[index] = columns[index] = full if block >> rank & 1 else 0
+        yield _truth_table(reduced, columns, full)
+
+
+class _BlockColumns(dict):
+    """The columns of a block, and under fresh variables the tables of
+    block-invariant subtrees, each tabulated at its first read and read
+    as it is in every later block."""
+
+    def __init__(self, columns: dict[int, int], full: int, occurring: int) -> None:
+        super().__init__(columns)
+        self.full = full
+        self.taken = occurring | 1  # indices in use; bit 0 is no index
+        self.subtrees: dict[int, Formula] = {}
+
+    def stand_in(self, subtree: Formula) -> Var:
+        """A fresh variable whose column is the subtree's table."""
+        free = ~self.taken & (self.taken + 1)  # the lowest index not in use
+        self.taken |= free
+        index = free.bit_length() - 1
+        self.subtrees[index] = subtree
+        return Var(index)
+
+    def __missing__(self, index: int) -> int:
+        table = self[index] = _truth_table(self.subtrees[index], self, self.full)
+        return table
+
+
+def _block_variant(formula: Formula, high_bits: int, columns: _BlockColumns) -> Formula | None:
+    """None when the formula holds no variable of ``high_bits``, so its table
+    is the same in every block; else the formula with the children of each
+    connective that hold none gathered under one stand-in, placed first.
+    One pass: a cached mask settles a subtree without visiting it, and a
+    wide one is settled bottom-up."""
+    cls = type(formula)
+    if cls is Var:
+        return formula if high_bits >> formula.index & 1 else None
+    if cls is Const:
+        return None
+    if cls is not Not and cls is not And and cls is not Or:
+        raise _not_a_formula(formula)
+    mask = formula._mask
+    if mask is not None and not mask & high_bits:
+        return None
+    if cls is Not:
+        child = _block_variant(formula.child, high_bits, columns)
+        return None if child is None else formula if child is formula.child else Not(child)
+    invariant: list[Formula] = []
+    parts: list[Formula] = []
+    changed = False
+    for child in formula.children:
+        part = _block_variant(child, high_bits, columns)
+        if part is None:
+            invariant.append(child)
+        else:
+            parts.append(part)
+            changed = changed or part is not child
+    if not parts:
+        return None
+    if invariant:
+        subtree = invariant[0] if len(invariant) == 1 else _flat(cls, tuple(invariant))
+        parts.insert(0, columns.stand_in(subtree))
+    elif not changed:
+        return formula
+    return _flat(cls, tuple(parts))
 
 
 def first_model(formula: Formula, limit: int | None = None) -> Assignment | None:

@@ -427,10 +427,19 @@ def _component_model(formula: Formula, memo: dict, remaining: list[int]) -> Assi
 
 
 def _disjoint_groups(children: tuple[Formula, ...]) -> list[list[Formula]]:
-    """The conjuncts in variable-disjoint groups, by a union-find over
-    conjuncts: each conjunct joins the first conjunct that holds each of its
-    variables.  Groups come in the order of their first conjunct, and each
-    lists its conjuncts in order."""
+    """The conjuncts in variable-disjoint groups.  One pass over the
+    conjuncts' masks finds the variables that two or more of them hold;
+    with none, each conjunct is a group of its own.  Otherwise a union-find
+    over conjuncts joins each to the first conjunct that holds each of its
+    shared variables.  Groups come in the order of their first conjunct,
+    and each lists its conjuncts in order."""
+    masks = [variable_mask(child) for child in children]
+    seen = shared = 0
+    for mask in masks:
+        shared |= seen & mask
+        seen |= mask
+    if not shared:
+        return [[child] for child in children]
     parent = list(range(len(children)))  # conjunct -> one in its group
 
     def root(i: int) -> int:
@@ -438,9 +447,9 @@ def _disjoint_groups(children: tuple[Formula, ...]) -> list[list[Formula]]:
             parent[i] = i = parent[parent[i]]
         return i
 
-    first: dict[int, int] = {}  # variable -> the first conjunct that holds it
-    for i, child in enumerate(children):
-        mask = variable_mask(child)
+    first: dict[int, int] = {}  # shared variable -> the first conjunct that holds it
+    for i, mask in enumerate(masks):
+        mask &= shared
         while mask:
             low = mask & -mask
             mask ^= low

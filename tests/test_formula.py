@@ -8,6 +8,7 @@ import re
 import sys
 import threading
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,7 @@ from selfred.formula import (
     first_model,
     parse,
     parse_dimacs,
+    place_variables,
     rename_variables,
     self_reduce,
     serialize,
@@ -1341,3 +1343,231 @@ class TestEvaluateByTruthTable:
         assert evaluate(Const(True), {}) is True and evaluate(Const(False), {}) is False
         with pytest.raises(IncompleteAssignment, match="x2"):
             evaluate(formula, {1: True, 3: False})
+
+
+def enumerated(formula):
+    """The model count and the lowest model number of the formula, found by
+    evaluating one assignment at a time, in assignment-number order (the
+    variable of rank r takes bit r of the number).  The formula is
+    translated recursively to one Python expression over the values, so
+    that an assignment costs one generator step rather than a tree walk."""
+    occurring = sorted(variables(formula))
+    position = {index: len(occurring) - 1 - rank for rank, index in enumerate(occurring)}
+
+    def source(node) -> str:
+        match node:
+            case Const(value):
+                return repr(value)
+            case Var(index):
+                return f"v[{position[index]}]"
+            case Not(child):
+                return f"(not {source(child)})"
+            case And(children):
+                return "(" + " and ".join(map(source, children)) + ")"
+            case Or(children):
+                return "(" + " or ".join(map(source, children)) + ")"
+
+    expression = source(formula)
+    values = product((False, True), repeat=len(occurring))  # the last value varies fastest
+    count = eval(f"sum(1 for v in values if {expression})", {"values": values})
+    values = product((False, True), repeat=len(occurring))
+    lowest = eval(f"next((m for m, v in enumerate(values) if {expression}), None)", {"values": values})
+    return count, lowest
+
+
+def model_number(model):
+    return sum(int(model[index]) << rank for rank, index in enumerate(sorted(model)))
+
+
+@st.composite
+def many_variable_formulas(draw):
+    """Formulas over k = 17..20 variables with constant leaves, every index
+    raised by 0 or 2000 (past the widest cached mask).  The k - 16 highest
+    variables, the ones that are constant within a truth-table block, sit
+    either in one subtree or anywhere."""
+    k = draw(st.integers(17, 20))
+    offset = draw(st.sampled_from([0, 2000]))
+    clustered = draw(st.booleans())
+    rng = draw(st.randoms(use_true_random=False))
+
+    def leaves(indices, extra):
+        occurrences = list(indices) + [rng.choice(indices) for _ in range(extra)]
+        out = [Not(Var(i + offset)) if rng.random() < 0.35 else Var(i + offset) for i in occurrences]
+        out += [Const(rng.random() < 0.5) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(out)
+        return out
+
+    def folded(nodes):
+        while len(nodes) > 1:
+            picked = [nodes.pop(rng.randrange(len(nodes))) for _ in range(rng.randint(2, min(3, len(nodes))))]
+            node = rng.choice((And, Or))(*picked)
+            nodes.append(Not(node) if rng.random() < 0.15 else node)
+        return nodes[0]
+
+    low, high = list(range(1, 17)), list(range(17, k + 1))
+    if clustered:
+        high_part = folded(leaves(high + rng.sample(low, 2), rng.randint(0, 4)))
+        low_parts = [folded(leaves(low[i::2], rng.randint(0, 8))) for i in (0, 1)]
+        formula = folded([high_part, *low_parts])
+    else:
+        formula = folded(leaves(low + high, rng.randint(0, k)))
+    assert variable_mask(formula).bit_count() == k
+    return formula
+
+
+def walks_of(monkeypatch, node) -> list[int]:
+    """Patch _truth_table to count the walks of one node object."""
+    original = formula_module._truth_table
+    walks = [0]
+
+    def counted(formula, masks, full):
+        walks[0] += formula is node
+        return original(formula, masks, full)
+
+    monkeypatch.setattr(formula_module, "_truth_table", counted)
+    return walks
+
+
+class TestConstantAwareTables:
+    @settings(max_examples=200, deadline=None)
+    @given(formulas(max_vars=8, max_leaves=16))
+    def test_count_and_lowest_model_by_enumeration(self, formula):
+        count, lowest = enumerated(formula)
+        assert brute_force_count(formula) == count
+        assert brute_force_sat(formula) == (count > 0)
+        model = first_model(formula)
+        assert (model is None) == (lowest is None)
+        assert model is None or model_number(model) == lowest
+
+    @settings(max_examples=12, deadline=None)
+    @given(many_variable_formulas())
+    def test_many_variables_by_enumeration(self, formula):
+        count, lowest = enumerated(formula)
+        assert brute_force_count(formula) == count
+        assert brute_force_sat(formula) == (count > 0)
+        model = first_model(formula)
+        assert (model is None) == (lowest is None)
+        if model is not None:
+            assert set(model) == variables(formula)
+            assert model_number(model) == lowest
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.dictionaries(st.integers(1, 8), st.booleans()), max_size=40), st.data())
+    def test_store_holds_what_evaluate_says(self, models, data):
+        store = ModelStore()
+        for model in models:
+            store.add(model)
+        for query in data.draw(st.lists(formulas(max_vars=8, max_leaves=14), min_size=1, max_size=4)):
+            completed = [{i: model.get(i, False) for i in variables(query)} for model in models]
+            expected = any(recursive_evaluate(query, assignment) for assignment in completed)
+            assert store.holds(query) == expected
+            assert any(evaluate(query, assignment) for assignment in completed) == expected
+
+    def test_constant_columns_propagate(self):
+        # x17..x20 are constant within a block, and the tree is full of them.
+        formula = And(Or(Var(17), Not(Var(18)), Var(1)), Not(And(Var(19), Var(20))), Or(Var(2), Const(False)))
+        assert brute_force_count(formula) == enumerated(formula)[0]
+        assert evaluate(Or(Const(True), Var(1)), {}) is True  # settled before x1 is read
+        assert evaluate(And(Const(True), Var(1), Const(False)), {1: True}) is False
+
+
+class TestBlockInvariantSubtables:
+    def test_an_invariant_subtree_is_walked_once_per_call(self, monkeypatch):
+        low = generate_random(16, 34, seed=4)
+        formula = And(Or(Var(17), Var(18), Not(Var(19)), Var(20)), low)
+        expected = dense_count(formula)
+        walks = walks_of(monkeypatch, low)
+        assert brute_force_count(formula) == expected
+        assert walks[0] == 1
+        assert brute_force_count(formula) == expected  # tabulated again by the next call
+        assert walks[0] == 2
+        first_model(formula)
+        assert walks[0] == 3
+
+    def test_single_block_tables_take_no_part(self, monkeypatch):
+        formula = And(Or(Var(15), Var(16)), generate_random(14, 30, seed=4))
+        walks = walks_of(monkeypatch, formula)
+        brute_force_count(formula)
+        assert walks[0] == 1  # the formula itself, in its one block
+
+    @pytest.mark.parametrize("offset", [0, 2000])
+    def test_wide_indices_cost_one_mask_walk(self, monkeypatch, offset):
+        for seed in range(3):
+            narrow = generate_random(20, 42, seed)
+            formula = rename_variables(narrow, {i: i + offset for i in range(1, 21)})
+            nodes = sum(1 for _ in subtrees(formula))
+            expected = brute_force_count(narrow)
+            original = formula_module.variable_mask
+            calls = [0]
+
+            def counted(node):
+                calls[0] += 1
+                return original(node)
+
+            monkeypatch.setattr(formula_module, "variable_mask", counted)
+            try:
+                assert brute_force_count(formula) == expected
+                assert calls[0] <= nodes + 2
+                calls[0] = 0
+                assert (first_model(formula) is None) == (expected == 0)
+                assert calls[0] <= nodes + 2
+            finally:
+                monkeypatch.undo()
+
+
+def rebuilt(formula, images):
+    """The renamed copy built through the public constructors."""
+    match formula:
+        case Const():
+            return formula
+        case Var(index):
+            return Var(images[index])
+        case Not(child):
+            return Not(rebuilt(child, images))
+        case And(children) | Or(children):
+            return type(formula)(*(rebuilt(c, images) for c in children))
+
+
+def assert_flat(formula):
+    for node in subtrees(formula):
+        if type(node) in (And, Or):
+            assert all(type(child) is not type(node) for child in node.children)
+
+
+class TestOneStepCopies:
+    @settings(max_examples=300, deadline=None)
+    @given(formulas(max_vars=8, max_leaves=16), st.integers(1, 40), st.randoms(use_true_random=False))
+    def test_copies_equal_constructor_built_ones(self, formula, start, rng):
+        occurring = sorted(variables(formula))
+        placed = place_variables(formula, start)
+        expected = rebuilt(formula, {index: start + rank for rank, index in enumerate(occurring)})
+        assert placed == expected and serialize(placed) == serialize(expected)
+        mapping = dict(zip(occurring, rng.sample(range(1, 3000), len(occurring))))
+        renamed = rename_variables(formula, mapping)
+        expected = rebuilt(formula, mapping)
+        assert renamed == expected and serialize(renamed) == serialize(expected)
+        for copy in (placed, renamed):
+            assert_flat(copy)
+            assert variable_mask(copy) == variable_mask(expected if copy is renamed else placed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(formulas(max_vars=8, max_leaves=16), st.randoms(use_true_random=False))
+    def test_the_simplified_mark_is_kept(self, formula, rng):
+        occurring = sorted(variables(formula))
+        mapping = dict(zip(occurring, rng.sample(range(1, 3000), len(occurring))))
+        copy = rename_variables(formula, mapping)  # of an unsimplified source
+        simple = simplify(formula)
+        simple_copy = rename_variables(simple, mapping)
+        assert simplify(simple_copy) is simple_copy  # marked, or a leaf
+        assert (simplify(copy) is copy) == (simple is formula)
+        assert simplify(copy) == simple_copy  # the unsimplified copy still folds its constants
+
+    def test_marks_follow_the_source(self):
+        source = parse("(x1 | !x2) & !(x3 & T)")
+        copy = place_variables(source, 5)
+        assert not copy._simple and not copy.children[1]._simple
+        assert serialize(simplify(copy)) == "(x5 | !x6) & !x7"
+        simple = simplify(source)
+        simple_copy = place_variables(simple, 5)
+        assert simple_copy._simple and all(child._simple for child in simple_copy.children)
+        assert simplify(simple_copy) is simple_copy

@@ -653,6 +653,84 @@ class TestUnionFindSplit:
         assert time.perf_counter() - start < 1
 
 
+def groups_by_variable_union_find(children) -> list[list]:
+    """Reference grouping: a union-find over variables, joining the
+    variables of each conjunct; a conjunct belongs to the group of its
+    variables, and one with none is a group of its own."""
+    parent = {}
+
+    def find(index):
+        while parent[index] != index:
+            index = parent[index]
+        return index
+
+    for child in children:
+        held = sorted(variables(child))
+        for index in held:
+            parent.setdefault(index, index)
+        for index in held[1:]:
+            parent[find(index)] = find(held[0])
+    groups = {}  # by representative, in first-conjunct order
+    for position, child in enumerate(children):
+        held = variables(child)
+        groups.setdefault(find(min(held)) if held else ("alone", position), []).append(child)
+    return list(groups.values())
+
+
+@st.composite
+def conjunct_lists(draw):
+    """Conjunct lists over three sharing patterns: no variable shared, each
+    linking variable held by exactly two conjuncts, or drawn at random;
+    with literals repeated (x1 & x1), constants, and indices raised by 0
+    or 3000."""
+    pattern = draw(st.sampled_from(["disjoint", "pairs", "random"]))
+    offset = draw(st.sampled_from([0, 3000]))
+    count = draw(st.integers(1, 10))
+    rng = draw(st.randoms(use_true_random=False))
+    if pattern == "disjoint":
+        held = [range(8 * i + 1, 8 * i + 2 + rng.randrange(3)) for i in range(count)]
+    elif pattern == "pairs":
+        # Conjunct i holds a variable of its own and the links to its neighbours.
+        order = rng.sample(range(count), count)
+        held = [[100 + i] + [v for v in (i, i + 1) if 0 < v < count] for i in order]
+    else:
+        held = [rng.choices(range(1, 13), k=rng.randint(1, 3)) for _ in range(count)]
+    constants = [Const(True), Const(False)]
+    children = []
+    for indices in held:
+        leaves = [Var(i + offset) if rng.random() < 0.6 else Not(Var(i + offset)) for i in indices]
+        if rng.random() < 0.3:
+            leaves.append(rng.choice(constants))
+        children.append(leaves[0] if len(leaves) == 1 else rng.choice([And, Or])(*leaves))
+    for _ in range(rng.randrange(4)):  # the same literal again, or an equal one
+        repeated = rng.choice(children)
+        if type(repeated) in (Var, Not):
+            again = repeated if rng.random() < 0.5 else parse(serialize(repeated))
+            children.insert(rng.randrange(len(children) + 1), again)
+    if rng.random() < 0.3:
+        children.insert(rng.randrange(len(children) + 1), rng.choice(constants))
+    return children
+
+
+class TestSharedVariableGroups:
+    @settings(max_examples=200, deadline=None)
+    @given(conjunct_lists())
+    def test_matches_a_union_find_over_variables(self, children):
+        groups = oracles_module._disjoint_groups(tuple(children))
+        expected = groups_by_variable_union_find(children)
+        assert [list(map(id, group)) for group in groups] == [list(map(id, group)) for group in expected]
+        check_components(children)
+
+    def test_no_shared_variable_gives_one_group_per_conjunct(self):
+        children = (Var(1), Or(Var(2), Not(Var(3))), Const(True), Not(Var(5000)))
+        assert oracles_module._disjoint_groups(children) == [[child] for child in children]
+
+    def test_a_repeated_literal_joins_its_copy(self):
+        x1 = Var(1)
+        children = (x1, Var(2), x1, Not(Var(1)), Var(3))
+        assert oracles_module._disjoint_groups(children) == [[x1, x1, Not(Var(1))], [Var(2)], [Var(3)]]
+
+
 def exact_counts_only(monkeypatch) -> list[bool]:
     """Make every decision oracle count exactly, as they did before they
     searched for models: no kept model answers, and each search is an exact
