@@ -704,10 +704,10 @@ def _tables(formula: Formula, limit: int | None) -> tuple[dict[int, int], Iterab
 def _block_tables(
     formula: Formula, masks: dict, full: int, occurring: int, high_bits: int
 ) -> Iterator[int]:
-    """The block tables: block-invariant subtrees are tabulated once, by
-    stand-ins (``_block_variant``), and the rest is walked in every block."""
-    columns = _BlockColumns(masks, full, occurring)
-    reduced = _block_variant(formula, high_bits, columns)
+    """The block tables: each stand-in's table joins a copy of the columns
+    as ``_block_variant`` makes it, and the rest is walked in every block."""
+    columns = dict(masks)
+    reduced = _block_variant(formula, high_bits, columns, full, [occurring | 1])
     high = _indices(high_bits)
     for block in range(1 << len(high)):
         for rank, index in enumerate(high):
@@ -715,36 +715,15 @@ def _block_tables(
         yield _truth_table(reduced, columns, full)
 
 
-class _BlockColumns(dict):
-    """The columns of a block, and under fresh variables the tables of
-    block-invariant subtrees, each tabulated at its first read and read
-    as it is in every later block."""
-
-    def __init__(self, columns: dict[int, int], full: int, occurring: int) -> None:
-        super().__init__(columns)
-        self.full = full
-        self.taken = occurring | 1  # indices in use; bit 0 is no index
-        self.subtrees: dict[int, Formula] = {}
-
-    def stand_in(self, subtree: Formula) -> Var:
-        """A fresh variable whose column is the subtree's table."""
-        free = ~self.taken & (self.taken + 1)  # the lowest index not in use
-        self.taken |= free
-        index = free.bit_length() - 1
-        self.subtrees[index] = subtree
-        return Var(index)
-
-    def __missing__(self, index: int) -> int:
-        table = self[index] = _truth_table(self.subtrees[index], self, self.full)
-        return table
-
-
-def _block_variant(formula: Formula, high_bits: int, columns: _BlockColumns) -> Formula | None:
+def _block_variant(
+    formula: Formula, high_bits: int, columns: dict[int, int], full: int, taken: list[int]
+) -> Formula | None:
     """None when the formula holds no variable of ``high_bits``, so its table
     is the same in every block; else the formula with the children of each
-    connective that hold none gathered under one stand-in, placed first.
-    One pass: a cached mask settles a subtree without visiting it, and a
-    wide one is settled bottom-up."""
+    connective that hold none gathered under one stand-in, placed first: a
+    fresh variable, the lowest index not in ``taken[0]``, whose column in
+    ``columns`` is their joint table, made with it.  One pass: a cached mask
+    settles a subtree without visiting it, and a wide one is settled bottom-up."""
     cls = type(formula)
     if cls is Var:
         return formula if high_bits >> formula.index & 1 else None
@@ -756,13 +735,13 @@ def _block_variant(formula: Formula, high_bits: int, columns: _BlockColumns) -> 
     if mask is not None and not mask & high_bits:
         return None
     if cls is Not:
-        child = _block_variant(formula.child, high_bits, columns)
+        child = _block_variant(formula.child, high_bits, columns, full, taken)
         return None if child is None else formula if child is formula.child else Not(child)
     invariant: list[Formula] = []
     parts: list[Formula] = []
     changed = False
     for child in formula.children:
-        part = _block_variant(child, high_bits, columns)
+        part = _block_variant(child, high_bits, columns, full, taken)
         if part is None:
             invariant.append(child)
         else:
@@ -772,7 +751,11 @@ def _block_variant(formula: Formula, high_bits: int, columns: _BlockColumns) -> 
         return None
     if invariant:
         subtree = invariant[0] if len(invariant) == 1 else _flat(cls, tuple(invariant))
-        parts.insert(0, columns.stand_in(subtree))
+        free = ~taken[0] & (taken[0] + 1)  # the lowest index not in use
+        taken[0] |= free
+        index = free.bit_length() - 1
+        columns[index] = _truth_table(subtree, columns, full)
+        parts.insert(0, Var(index))
     elif not changed:
         return formula
     return _flat(cls, tuple(parts))

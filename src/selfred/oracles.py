@@ -6,12 +6,13 @@ keeps one memo by canonical text (``_by_text``), which serializes each
 query once and answers only on a miss: the selectors memoize whether a
 model exists, the tally and sparse oracles their whole image, and the
 2-enumerator its whole answer, counted by ``exact_model_count``.  Decision
-oracles search (``find_model``) only when no model they kept (``ModelStore``)
-satisfies the query: a model of F with x_i = b is one of F[x_i := b].
-Oracles are deterministic, which the deciders' duplicate-image pruning
-relies on.  The only mutable state is the call counter, the memo, the model
-store and sparse's arrival counter, so confine instances to one thread
-(results never depend on interleaving; the counter is not atomic).
+oracles search (``find_model``, which keeps no memo) only when no model they
+kept (``ModelStore``) satisfies the query: a model of F with x_i = b is one
+of F[x_i := b].  Oracles are deterministic, which the deciders'
+duplicate-image pruning relies on.  The only mutable state is the call
+counter, the memo, the model store and sparse's arrival counter, so confine
+instances to one thread (results never depend on interleaving; the counter
+is not atomic).
 
 Answers that break a contract's form raise ``OracleContractViolation``: a
 selector choice that is not one of its two arguments (by canonical text), an
@@ -327,10 +328,11 @@ def honest_two_enumerator(style: str, seed: int = 0) -> TwoEnumeratorOracle:
 # The combiner's switch variable makes its formulas such disjunctions.
 # Literals count 1, everything else Shannon-splits on the most frequent
 # variable, and residues of at most 18 variables fall through to the truth
-# table.  The model search takes the same steps in the same order, and stops
-# at the first model: a table at its lowest, any disjunction at its first
-# child with one, a Shannon split at its first branch with one, and a
-# conjunction at its first component without one.
+# table.  The model search takes the same steps in the same order, with no
+# memo, its first step charged to the budget, and stops at the first model: a
+# table at its lowest, any disjunction at its first child with one, a Shannon
+# split at its first branch with one, a conjunction at its first component
+# without one.
 _BIT_PARALLEL_LIMIT = 18
 _DEFAULT_COUNT_BUDGET = 50_000
 
@@ -383,12 +385,12 @@ def find_model(formula: Formula, budget: int = _DEFAULT_COUNT_BUDGET) -> Assignm
     """A model: values of some of the formula's variables, every extension of
     which satisfies it.  None when it has none; raises TooLarge if the
     formula resists decomposition within the work budget."""
-    if variable_mask(formula).bit_count() <= _BIT_PARALLEL_LIMIT:
-        return first_model(formula, limit=_BIT_PARALLEL_LIMIT)
-    return _component_model(formula, {}, [budget])
+    return _component_model(formula, [budget])
 
 
-def _component_model(formula: Formula, memo: dict, remaining: list[int]) -> Assignment | None:
+def _component_model(formula: Formula, remaining: list[int]) -> Assignment | None:
+    # No memo: the searches measured met no text twice.  Every model returned
+    # is a fresh dict, which its caller may extend in place.
     cls = type(formula)
     if cls is Const:
         return {} if formula.value else None
@@ -399,31 +401,27 @@ def _component_model(formula: Formula, memo: dict, remaining: list[int]) -> Assi
     remaining[0] -= 1
     if remaining[0] < 0:
         raise TooLarge("formula resists decomposition within the counting budget")
-    key = serialize(formula)
-    if key in memo:
-        return memo[key]
     if variable_mask(formula).bit_count() <= _BIT_PARALLEL_LIMIT:
-        model = first_model(formula, limit=_BIT_PARALLEL_LIMIT)
-    elif cls is And and len(groups := _disjoint_groups(formula.children)) > 1:
-        model = {}
+        return first_model(formula, limit=_BIT_PARALLEL_LIMIT)
+    if cls is And and len(groups := _disjoint_groups(formula.children)) > 1:
+        model: Assignment = {}
         for group in groups:
-            part = _component_model(group[0] if len(group) == 1 else And(*group), memo, remaining)
+            part = _component_model(group[0] if len(group) == 1 else And(*group), remaining)
             if part is None:
-                model = None
-                break
-            model.update(part)  # memoized models are shared, so only a fresh one grows
-    elif cls is Or:
+                return None
+            model.update(part)
+        return model
+    if cls is Or:
         for child in formula.children:
-            if (model := _component_model(child, memo, remaining)) is not None:
-                break
-    else:
-        index = _most_frequent_variable(formula)
-        for value, branch in zip((True, False), split(formula, index)):
-            if (model := _component_model(branch, memo, remaining)) is not None:
-                model = {**model, index: value}
-                break
-    memo[key] = model
-    return model
+            if (model := _component_model(child, remaining)) is not None:
+                return model
+        return None
+    index = _most_frequent_variable(formula)
+    for value, branch in zip((True, False), split(formula, index)):
+        if (model := _component_model(branch, remaining)) is not None:
+            model[index] = value
+            return model
+    return None
 
 
 def _disjoint_groups(children: tuple[Formula, ...]) -> list[list[Formula]]:

@@ -89,3 +89,16 @@ def test_every_layer_is_counted(traced, name):
 def test_uninstall_restores_every_patched_namespace(traced):
     _, _, before = traced
     assert _namespaces() == before
+
+
+# The traced ``corpus`` check's accounted fraction grows with the number of
+# kernel spans (calls from a consumer module into ``selfred.formula``, each
+# wrapped and timed), and a change that added spans failed that run.  A
+# change that must add spans raises this bound and says so.
+KERNEL_SPANS_BOUND = 1_108
+
+
+def test_kernel_spans_stay_within_bound(traced):
+    tracer, _, _ = traced
+    spans = sum(calls for (layer, _), (calls, _, _) in tracer.spans.items() if layer == "formula")
+    assert 0 < spans <= KERNEL_SPANS_BOUND

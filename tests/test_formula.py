@@ -322,19 +322,21 @@ def with_constant_children(formula, rng):
 
 
 def count_blocks(monkeypatch) -> list[int]:
-    """Patch _truth_table to count its outermost calls, one per block."""
-    original = formula_module._truth_table
-    depth, blocks = [0], [0]
+    """Patch _tables to count the block tables it yields."""
+    original = formula_module._tables
+    blocks = [0]
 
-    def counted(node, masks, full):
-        blocks[0] += depth[0] == 0
-        depth[0] += 1
-        try:
-            return original(node, masks, full)
-        finally:
-            depth[0] -= 1
+    def counted(formula, limit):
+        masks, tables = original(formula, limit)
 
-    monkeypatch.setattr(formula_module, "_truth_table", counted)
+        def each():
+            for table in tables:
+                blocks[0] += 1
+                yield table
+
+        return masks, each()
+
+    monkeypatch.setattr(formula_module, "_tables", counted)
     return blocks
 
 

@@ -984,6 +984,22 @@ class TestFindModel:
         assert find_model(shared) == find_model(shared)
         assert 32 not in find_model(shared)
 
+    def test_the_search_keeps_no_state(self, monkeypatch):
+        # Formulas above the table cutoff, so the search recurses: it reads
+        # no formula text, and a second search finds the same model.
+        hard = generate_random(30, 120, seed=13)
+        queries = [generate_random(n, 2 * n + 2, seed) for n in range(20, 25) for seed in range(3)]
+        queries += [And(hard, Not(hard)), Not(hard)]
+        formula = generate_random(8, 18, seed=2)
+        true_child, false_child, _ = self_reduce(formula)
+        queries.append(combine(formula, true_child, false_child).combined)
+        assert all(variable_mask(query).bit_count() > 18 for query in queries)
+        calls = []
+        monkeypatch.setattr(oracles_module, "serialize", lambda f: calls.append(f) or serialize(f))
+        models = [find_model(query) for query in queries]
+        assert calls == []
+        assert [find_model(query) for query in queries] == models
+
     def test_kept_models_answer_without_a_search(self, monkeypatch):
         searched = []
         original = oracles_module.find_model
