@@ -13,7 +13,7 @@ single spaces around binary operators; chains of the same connective are
 flattened, so the encoded length of a formula is stable under simplification.
 
 A split on a variable builds both children in one walk (``split``), after
-``simplify``; ``substitute`` and ``self_reduce`` are that walk too.
+``simplify``; ``self_reduce`` is ``split`` on the least variable.
 
 Truth tables count models (``brute_force_count``) or find the lowest one
 (``first_model``); a ``ModelStore`` holds a formula against all its models
@@ -41,7 +41,6 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -235,11 +234,6 @@ def _most_frequent_variable(formula: Formula) -> int:
     # Ties break toward the highest index: fresh variables sit above renamed
     # operand ranges, and splitting them decomposes combined formulas.
     return max(counts, key=lambda index: (counts[index], index))
-
-
-def serialized_length(formula: Formula) -> int:
-    """Encoded length |F|: byte length of the canonical serialization."""
-    return len(serialize(formula))
 
 
 class _Parser:
@@ -532,14 +526,6 @@ def split(formula: Formula, index: int) -> tuple[Formula, Formula]:
     return _split(simple, index, bit)
 
 
-def substitute(formula: Formula, index: int, value: bool) -> Formula:
-    """F[x_index := value], simplified: one side of ``split``.  Kept public
-    as the one-variable assignment that the paper's reductions are stated
-    in; nothing in the package needs it, since every split wants both
-    sides."""
-    return split(formula, index)[0 if value else 1]
-
-
 def self_reduce(formula: Formula) -> tuple[Formula, Formula, int]:
     """``split`` on the least occurring variable.
 
@@ -553,29 +539,10 @@ def self_reduce(formula: Formula) -> tuple[Formula, Formula, int]:
     return (*split(formula, least), least)
 
 
-def rename_variables(formula: Formula, mapping: Mapping[int, int]) -> Formula:
-    """Rewrite variable indices through an injective mapping.
-
-    A mapping that sends every occurring variable to itself returns the input
-    object (trees are immutable, so nothing needs copying).
-    """
-    occurring = variables(formula)
-    missing = occurring - mapping.keys()
-    if missing:
-        raise UnknownVariable(f"no mapping for variables {sorted(missing)}")
-    images = [mapping[i] for i in occurring]
-    if len(set(images)) != len(images):
-        raise InvalidParams("variable renaming must be injective")
-    if all(mapping[i] == i for i in occurring):
-        return formula
-    return _map_vars(formula, {i: Var(mapping[i]) for i in occurring})
-
-
 def place_variables(formula: Formula, start: int) -> Formula:
     """The formula with its k variables renamed, in order, to x_start ..
-    x_(start+k-1): what ``rename_variables`` gives for that mapping, read
-    off the cached mask (the mapping needs no checks).  A formula already in
-    place is returned as it is."""
+    x_(start+k-1), the mapping read off the cached mask.  A formula already
+    in place is returned as it is."""
     if start < 1:
         raise InvalidParams(f"variable index must be positive, got start {start}")
     mask = variable_mask(formula)
@@ -592,13 +559,6 @@ def evaluate(formula: Formula, assignment: Assignment) -> bool:
         return _truth_table(formula, values, 1) == 1
     except KeyError as exc:
         raise IncompleteAssignment(f"assignment is missing variable x{exc.args[0]}") from None
-
-
-def all_assignments(indices: frozenset[int] | set[int]) -> Iterator[dict[int, bool]]:
-    """Yield every assignment over the given variable indices."""
-    ordered = sorted(indices)
-    for values in product((False, True), repeat=len(ordered)):
-        yield dict(zip(ordered, values))
 
 
 def brute_force_limit() -> int:

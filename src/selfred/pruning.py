@@ -33,7 +33,6 @@ from .formula import (
     Formula,
     serialize,
     self_reduce,
-    serialized_length,
     simplify,
 )
 from .oracles import (
@@ -162,7 +161,7 @@ def _walk_levels(
         return root.value, LevelStats([], 0, OUTCOME_SAT if root.value else OUTCOME_UNSAT, [])
 
     calls_before = oracle.call_counter
-    root_length = serialized_length(formula)
+    root_length = len(serialize(formula))
     budget = None if label_budget is None else label_budget(root_length)
     levels: list[TreeLevel] = []
     widths: list[tuple[int, int]] = []

@@ -5,6 +5,7 @@ lines.  The corpus is the exhaustive set of small formulas plus 500 seeded
 random formulas with up to 10 variables (session fixtures in conftest)."""
 
 import time
+from itertools import product
 
 import pytest
 
@@ -18,7 +19,6 @@ from selfred.counting import (
     link_disagreeing_triples,
 )
 from selfred.formula import (
-    all_assignments,
     brute_force_count,
     brute_force_sat,
     evaluate,
@@ -37,6 +37,12 @@ from selfred.oracles import (
 )
 from selfred.pruning import OUTCOME_EARLY_SAT, decide_via_sparse, decide_via_tally
 from selfred.selector import decide_via_selector
+
+
+def all_assignments(indices):
+    """Every assignment over the given variable indices."""
+    ordered = sorted(indices)
+    return (dict(zip(ordered, values)) for values in product((False, True), repeat=len(ordered)))
 
 
 def report(number: int, detail: str, violations: list, elapsed: float, budget: float | None):

@@ -15,7 +15,6 @@ from selfred.formula import (
     Var,
     brute_force_count,
     parse,
-    rename_variables,
     self_reduce,
     serialize,
     simplify,
@@ -184,6 +183,13 @@ SMALL_FORMULAS = st.recursive(
     ),
     max_leaves=8,
 )
+
+
+def rename_variables(formula, mapping):
+    """The renamed copy that the package's public renaming built, through
+    the kernel's one-step copier: x_i becomes x_mapping[i] for every
+    occurring variable."""
+    return formula_module._map_vars(formula, {i: Var(mapping[i]) for i in variables(formula)})
 
 
 @st.composite

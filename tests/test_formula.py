@@ -18,6 +18,7 @@ from selfred.counting import combine, count_via_enumerator
 from selfred.errors import (
     FormulaSyntaxError,
     IncompleteAssignment,
+    InvalidParams,
     MalformedInput,
     NoVariables,
     SelfReducibilityError,
@@ -35,7 +36,6 @@ from selfred.formula import (
     Not,
     Or,
     Var,
-    all_assignments,
     brute_force_count,
     brute_force_sat,
     evaluate,
@@ -43,12 +43,10 @@ from selfred.formula import (
     parse,
     parse_dimacs,
     place_variables,
-    rename_variables,
     self_reduce,
     serialize,
-    serialized_length,
     simplify,
-    substitute,
+    split,
     variable_mask,
     variables,
 )
@@ -78,6 +76,19 @@ def formulas(max_vars: int = 4, max_leaves: int = 8) -> st.SearchStrategy:
         ),
         max_leaves=max_leaves,
     )
+
+
+def all_assignments(indices):
+    """Every assignment over the given variable indices."""
+    ordered = sorted(indices)
+    return (dict(zip(ordered, values)) for values in product((False, True), repeat=len(ordered)))
+
+
+def rename_variables(formula, mapping):
+    """The renamed copy that the package's public renaming built, through
+    the kernel's one-step copier: x_i becomes x_mapping[i] for every
+    occurring variable."""
+    return formula_module._map_vars(formula, {i: Var(mapping[i]) for i in variables(formula)})
 
 
 def naive_count(formula) -> int:
@@ -183,32 +194,42 @@ class TestSimplify:
 
 class TestSubstitute:
     def test_identity_under_true_conjunct(self):
-        assert substitute(parse("x1 & x2"), 1, True) == Var(2)
+        assert split(parse("x1 & x2"), 1)[0] == Var(2)
 
     def test_annihilator(self):
-        assert substitute(parse("x1 & x2"), 1, False) == Const(False)
+        assert split(parse("x1 & x2"), 1)[1] == Const(False)
 
     def test_derived_example(self):
-        result = substitute(parse("(x1 & x2 & !x3) | (x4 & !x4)"), 1, True)
+        result = split(parse("(x1 & x2 & !x3) | (x4 & !x4)"), 1)[0]
         assert serialize(result) == "x2 & !x3 | x4 & !x4"
 
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariable):
-            substitute(parse("x1"), 2, True)
+            split(parse("x1"), 2)
 
     @pytest.mark.parametrize("index", [0, -3, 10**15])
     def test_index_outside_the_mask_is_unknown(self, index):
         with pytest.raises(UnknownVariable):
-            substitute(parse("x1 & x2"), index, True)
+            split(parse("x1 & x2"), index)
 
     @settings(max_examples=300, deadline=None)
     @given(formulas(), st.integers(1, 4), st.booleans())
     def test_strictly_length_decreasing(self, formula, index, value):
         if index not in variables(formula):
             return
-        child = substitute(formula, index, value)
-        assert serialized_length(child) < serialized_length(formula)
+        child = split(formula, index)[0 if value else 1]
+        assert len(serialize(child)) < len(serialize(formula))
         assert variables(child) <= variables(formula) - {index}
+
+    @settings(max_examples=200, deadline=None)
+    @given(formulas(), st.integers(1, 4))
+    def test_children_agree_with_evaluate(self, formula, index):
+        if index not in variables(formula):
+            return
+        children = split(formula, index)
+        for assignment in all_assignments(variables(formula)):
+            child = children[0 if assignment[index] else 1]
+            assert evaluate(child, assignment) == evaluate(formula, assignment)
 
 
 class TestSelfReduce:
@@ -275,7 +296,7 @@ class TestBruteForce:
             ground = formula
             for index, value in assignment.items():
                 if index in variables(ground):
-                    ground = substitute(ground, index, value)
+                    ground = split(ground, index)[0 if value else 1]
             assert brute_force_count(ground) == int(evaluate(formula, assignment))
 
 
@@ -507,8 +528,8 @@ class TestSelfReducibilityProperties:
     def test_count_decomposition_over_residual_slots(self, formula):
         if not variables(formula):
             return
-        true_child, false_child, split = self_reduce(formula)
-        slots = variables(formula) - {split}
+        true_child, false_child, split_var = self_reduce(formula)
+        slots = variables(formula) - {split_var}
         total = 0
         for assignment in all_assignments(slots):
             total += evaluate(true_child, assignment)
@@ -526,26 +547,22 @@ class TestRename:
         renamed = rename_variables(formula, {1: 10, 2: 20, 3: 30})
         assert brute_force_count(renamed) == brute_force_count(formula)
 
-    def test_missing_mapping(self):
-        with pytest.raises(UnknownVariable):
-            rename_variables(parse("x1 & x2"), {1: 3})
+    @settings(max_examples=200, deadline=None)
+    @given(formulas(max_vars=6), st.integers(1, 40))
+    def test_place_keeps_every_variable_apart(self, formula, start):
+        placed = place_variables(formula, start)
+        assert variables(placed) == set(range(start, start + len(variables(formula))))
+        assert brute_force_count(placed) == brute_force_count(formula)
 
-    def test_non_injective(self):
-        with pytest.raises(ValueError):
-            rename_variables(parse("x1 & x2"), {1: 3, 2: 3})
-
-    def test_identity_returns_the_input(self):
-        formula = parse("(x1 | x2) & !x4")
-        assert rename_variables(formula, {1: 1, 2: 2, 4: 4}) is formula
-        # Keys for variables that do not occur play no part.
-        assert rename_variables(formula, {1: 1, 2: 2, 3: 9, 4: 4}) is formula
-
-    def test_identity_checks_the_mapping_first(self):
-        formula = parse("x1 & x2")
-        with pytest.raises(UnknownVariable):
-            rename_variables(formula, {1: 1})
-        with pytest.raises(ValueError, match="injective"):
-            rename_variables(parse("x1 & x2 & x3"), {1: 1, 2: 2, 3: 2})
+    def test_place_checks_start_before_returning_a_formula_in_place(self):
+        in_place = parse("x1 & x2")
+        assert place_variables(in_place, 1) is in_place
+        true = Const(True)
+        assert place_variables(true, 1) is true
+        for formula in (in_place, true, Const(False)):
+            for start in (0, -1, -(10**15)):
+                with pytest.raises(InvalidParams, match="positive"):
+                    place_variables(formula, start)
 
 
 def reference_parse_dimacs(text):
@@ -958,7 +975,7 @@ class TestCachedKernel:
             formula = simplify(formula)
         for index in sorted(reference_variables(formula)):
             expected = reference_substitute(formula, index, value)
-            result = substitute(formula, index, value)
+            result = split(formula, index)[0 if value else 1]
             assert result == expected
             assert serialize(result) == reference_serialize(expected)
             assert variables(result) == reference_variables(expected)
@@ -967,7 +984,7 @@ class TestCachedKernel:
         while reference_variables(current):
             index = min(reference_variables(current))
             expected = reference_substitute(current, index, value)
-            current = substitute(current, index, value)
+            current = split(current, index)[0 if value else 1]
             assert current == expected and serialize(current) == reference_serialize(expected)
 
     @settings(max_examples=200, deadline=None)
@@ -977,7 +994,7 @@ class TestCachedKernel:
         if not isinstance(formula, (And, Or)):
             return
         for index in variables(formula):
-            result = substitute(formula, index, value)
+            result = split(formula, index)[0 if value else 1]
             if type(result) is not type(formula):
                 continue  # collapsed to a constant or a single child
             for child in formula.children:
@@ -986,7 +1003,7 @@ class TestCachedKernel:
 
     def test_substitute_shares_untouched_subtrees(self):
         formula = simplify(parse("(x1 | x2 & !(x3 | x4)) & (x5 | !x6) & !(x7 & x8)"))
-        result = substitute(formula, 1, False)
+        result = split(formula, 1)[1]
         first, second, third = formula.children
         assert result.children[-2] is second and result.children[-1] is third
         # x1 = F leaves x2 & !(x3 | x4), which flattens into the outer And.
@@ -999,7 +1016,7 @@ class TestCachedKernel:
             assert formula._mask is None  # too wide to keep
             assert variable_mask(formula) == (1 << 2) | (1 << 3) | (1 << 5000) | (1 << 7000)
         for index in (3, 5000, 7000):
-            assert substitute(formula, index, False) == reference_substitute(formula, index, False)
+            assert split(formula, index)[1] == reference_substitute(formula, index, False)
         assert brute_force_count(formula) == naive_count(formula)
 
     def test_simplify_returns_a_simplified_formula_itself(self):
@@ -1017,7 +1034,7 @@ class TestCachedKernel:
     def test_equality_hash_and_repr_ignore_caches(self):
         text = "!(x1 & x2) | x3 & (x4 | !x1)"
         warm, cold = parse(text), parse(text)
-        serialize(warm), variables(warm), simplify(warm), substitute(warm, 1, True)
+        serialize(warm), variables(warm), simplify(warm), split(warm, 1)
         assert warm == cold and cold == warm
         assert hash(warm) == hash(cold)
         assert repr(warm) == repr(cold)
@@ -1037,7 +1054,7 @@ class TestCachedKernel:
         assert serialize(twin) == serialize(original)
         assert variables(twin) == variables(original)
         assert simplify(twin) == simplify(original)
-        assert substitute(twin, 1, False) == substitute(original, 1, False)
+        assert split(twin, 1)[1] == split(original, 1)[1]
 
     def test_threads_sharing_formulas_fill_the_same_caches(self):
         # Caches are filled without a lock; a racing thread may only ever
@@ -1107,9 +1124,9 @@ KERNEL_CALLS = {
     "variables": variables,
     "variable_mask": variable_mask,
     "simplify": simplify,
-    "substitute": lambda f: substitute(f, 1, True),
+    "split": lambda f: split(f, 1),
     "self_reduce": self_reduce,
-    "rename_variables": lambda f: rename_variables(f, {1: 2}),
+    "place_variables": lambda f: place_variables(f, 1),
     "evaluate": lambda f: evaluate(f, {1: True}),
     "brute_force_count": brute_force_count,
     "brute_force_sat": brute_force_sat,
@@ -1211,7 +1228,6 @@ class TestOneWalkSplit:
                 expected = simplify_with_assignment(formula, 1 << index, Const(value))
                 assert child == expected
                 assert serialize(child) == serialize(expected)
-                assert substitute(formula, index, value) == expected
                 if isinstance(child, (Not, And, Or)):
                     assert child._simple  # marked, so simplify returns it at once
                 assert simplify(child) is child

@@ -2,6 +2,7 @@
 variable sets and operand placement read off the cached mask, the one-pass
 truth table of a formula that fits one block, and the tally test."""
 
+from itertools import product
 from unittest import mock
 
 import pytest
@@ -19,13 +20,11 @@ from selfred.formula import (
     Not,
     Or,
     Var,
-    all_assignments,
     brute_force_count,
     brute_force_sat,
     evaluate,
     parse,
     place_variables,
-    rename_variables,
     serialize,
     variable_mask,
     variables,
@@ -55,6 +54,13 @@ def trees(indices: st.SearchStrategy[int], max_leaves: int = 10) -> st.SearchStr
 
 # Indices past the widest cached mask (1 024 bits) as well as small ones.
 WIDE_INDICES = st.one_of(st.integers(1, 12), st.integers(1000, 1100))
+
+
+def rename_variables(formula, mapping):
+    """The renamed copy that the package's public renaming built, through
+    the kernel's one-step copier: x_i becomes x_mapping[i] for every
+    occurring variable."""
+    return formula_module._map_vars(formula, {i: Var(mapping[i]) for i in variables(formula)})
 
 
 def in_order(formula, start: int) -> dict[int, int]:
@@ -101,6 +107,12 @@ class TestTallyString:
 
     def test_empty_string(self):
         assert is_tally_string("")
+
+
+def all_assignments(indices):
+    """Every assignment over the given variable indices."""
+    ordered = sorted(indices)
+    return (dict(zip(ordered, values)) for values in product((False, True), repeat=len(ordered)))
 
 
 def enumerated_count(formula) -> int:
@@ -150,7 +162,7 @@ class TestInvalidParams:
             lambda: Const(None),
             lambda: And(Var(1)),
             lambda: Or(Var(1)),
-            lambda: rename_variables(parse("x1 & x2"), {1: 3, 2: 3}),
+            lambda: place_variables(TRUE, 0),
             lambda: place_variables(parse("x1 & x2"), 0),
             lambda: simulated_tally_reduction("no such style"),
             lambda: simulated_sparse_coreduction("no such style"),

@@ -9,6 +9,7 @@ from selfred.formula import (
     parse,
     serialize,
     simplify,
+    split,
     variables,
 )
 from selfred.generate import generate_corpus
@@ -105,7 +106,5 @@ class TestAgainstBruteForce:
             current = simplify(formula)
             for step in trace.steps:
                 if step.split_var in variables(current):
-                    from selfred.formula import substitute
-
-                    current = substitute(current, step.split_var, step.chosen_branch)
+                    current = split(current, step.split_var)[0 if step.chosen_branch else 1]
                 assert serialize(current) == step.chosen_formula
