@@ -15,12 +15,12 @@ instances to one thread (results never depend on interleaving; the counter
 is not atomic).
 
 Answers that break a contract's form raise ``OracleContractViolation``: a
-selector choice that is not one of its two arguments (by canonical text), an
-enumerator answer that is not a list of one or two non-negative ints, an
-image that is not a string.  Nothing here walks a whole tree or looks inside
-formula text, which serves only as a key: the counter takes its split
-variable from ``selfred.formula``, and counts a conjunction's components in
-the order of their first conjunct, as the search does.
+selector answer that is not a bool, an enumerator answer that is not a list
+of one or two non-negative ints, an image that is not a string.  Nothing
+here walks a whole tree or looks inside formula text, which serves only as
+a key: the counter takes its split variable from ``selfred.formula``, and
+counts a conjunction's components in the order of their first conjunct, as
+the search does.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Callable, get_args
+from typing import Callable
 
 from .errors import InvalidBound, InvalidParams, OracleContractViolation, TooLarge
 from .formula import (
@@ -49,7 +49,6 @@ from .formula import (
 )
 
 NON_TALLY_TOKEN = "1"
-_NODE_CLASSES = get_args(Formula)  # a selector's answer has one of them exactly
 
 TALLY_STYLES = ("canonical", "collision_rich", "spread")
 SPARSE_STYLES = ("singleton", "scatter")
@@ -101,28 +100,19 @@ class _CountedOracle:
 
 
 class SelectorOracle(_CountedOracle):
-    """Always returns one of its two arguments; returns a satisfiable one
-    whenever either argument is satisfiable.
+    """Picks one of its two arguments, a satisfiable one whenever either
+    argument is satisfiable.
 
-    ``choose`` returns the argument object itself, ``a`` first when both
-    have the answer's text, so a caller can tell the branch by identity.  An
-    answer that is ``a`` itself is returned without comparing any text."""
+    The query answers True for the first argument and False for the second;
+    ``choose`` returns the argument object itself, so a caller can tell the
+    branch by identity."""
 
     def choose(self, a: Formula, b: Formula) -> Formula:
-        choice = self._ask(a, b)
-        if type(choice) not in _NODE_CLASSES:
-            kind = type(choice).__name__
-            raise OracleContractViolation(f"selector chose a value of type {kind}, not a formula")
-        if choice is a:
-            return a
-        text = serialize(choice)
-        if text == serialize(a):
-            return a
-        if text == serialize(b):
-            return b
-        raise OracleContractViolation(
-            "selector returned a formula that is neither of its arguments"
-        )
+        first = self._ask(a, b)
+        if type(first) is not bool:
+            kind = type(first).__name__
+            raise OracleContractViolation(f"selector answered a value of type {kind}, not bool")
+        return a if first else b
 
 
 class TallyReductionOracle(_CountedOracle):
@@ -212,27 +202,24 @@ def honest_selector() -> SelectorOracle:
     has_model = _model_checker()
     sat = _by_text(lambda f, key: has_model(f))
 
-    def choose(a: Formula, b: Formula) -> Formula:
-        if sat(a):
-            return a
-        if sat(b):
-            return b
-        return a
+    def choose(a: Formula, b: Formula) -> bool:
+        return sat(a) or not sat(b)
 
     return SelectorOracle(choose)
 
 
 def adversarial_selector(seed: int) -> SelectorOracle:
-    """Contract-respecting but unhelpful: whenever the contract allows either
-    argument, the pick is pseudo-random from the seed."""
+    """Contract-respecting but unhelpful: a pick the contract leaves open is
+    pseudo-random from the seed, or the first of two equal texts."""
     has_model = _model_checker()
     sat = _by_text(lambda f, key: has_model(f))
 
-    def choose(a: Formula, b: Formula) -> Formula:
+    def choose(a: Formula, b: Formula) -> bool:
         sat_a, sat_b = sat(a), sat(b)
         if sat_a != sat_b:
-            return a if sat_a else b
-        return a if _digest_int(seed, serialize(a), serialize(b)) % 2 == 0 else b
+            return sat_a
+        text_a, text_b = serialize(a), serialize(b)
+        return text_a == text_b or _digest_int(seed, text_a, text_b) % 2 == 0
 
     return SelectorOracle(choose)
 

@@ -132,23 +132,14 @@ class TestSelectors:
 class TestSelectorContract:
     """``choose`` returns one of its arguments itself, or raises."""
 
-    def test_equal_text_copy_of_b_returns_b_itself(self):
-        a, b = parse("x1 & !x1"), parse("x2 | x3")
-        oracle = SelectorOracle(lambda a, b: parse(serialize(b)))
-        assert oracle.choose(a, b) is b
-
-    def test_equal_texts_return_a_first(self):
-        a, b = parse("x2 | x3"), parse("x2 | x3")
-        oracle = SelectorOracle(lambda a, b: parse(serialize(b)))
-        assert oracle.choose(a, b) is a
-
+    @pytest.mark.parametrize("answer", [True, False])
     @pytest.mark.parametrize("b_text", ["x2 | x3", "x1 & !x1"])
-    def test_answer_a_itself_serializes_nothing(self, monkeypatch, b_text):
+    def test_answer_serializes_nothing(self, monkeypatch, b_text, answer):
         calls = []
         monkeypatch.setattr(oracles_module, "serialize", lambda f: calls.append(f) or serialize(f))
         a, b = parse("x1 | x2"), parse(b_text)
-        oracle = SelectorOracle(lambda a, b: a)
-        assert oracle.choose(a, b) is a
+        oracle = SelectorOracle(lambda a, b: answer)
+        assert oracle.choose(a, b) is (a if answer else b)
         assert calls == []
         assert oracle.call_counter == 1
 
@@ -156,13 +147,6 @@ class TestSelectorContract:
         oracle = SelectorOracle(lambda a, b: a)
         with pytest.raises(OracleContractViolation, match="type str"):
             oracle.choose("x1", parse("x2"))
-
-    @pytest.mark.parametrize("answer", ["x3", "x1 & x2", "T"])
-    def test_answer_that_is_neither_argument(self, answer):
-        oracle = SelectorOracle(lambda a, b: parse(answer))
-        with pytest.raises(OracleContractViolation, match="neither of its arguments"):
-            oracle.choose(parse("x1"), parse("x2"))
-        assert oracle.call_counter == 1
 
 
 class TestOneWrappedMethodPerQuery:

@@ -17,6 +17,10 @@ from selfred.oracles import SelectorOracle, adversarial_selector, honest_selecto
 from selfred.selector import decide_via_selector
 
 
+class VarSubclass(Var):
+    __slots__ = ()
+
+
 class TestExamples:
     def test_contradiction(self):
         verdict, trace = decide_via_selector(parse("x1 & !x1"), honest_selector())
@@ -47,18 +51,20 @@ class TestExamples:
         with pytest.raises(OracleContractViolation):
             decide_via_selector(parse("x1 & x2"), rogue)
 
-    def test_selector_answer_of_a_node_subclass(self):
-        class VarSubclass(Var):
-            __slots__ = ()
-
-        rogue = SelectorOracle(lambda a, b: VarSubclass(1))
-        with pytest.raises(OracleContractViolation, match="type VarSubclass, not a formula"):
-            decide_via_selector(parse("x1 & x2"), rogue)
-
-    @pytest.mark.parametrize("answer, kind", [(None, "NoneType"), ("x1", "str")])
-    def test_selector_answer_not_a_formula(self, answer, kind):
+    @pytest.mark.parametrize(
+        "answer, kind",
+        [
+            (None, "NoneType"),
+            ("x1", "str"),
+            (Var(1), "Var"),
+            (VarSubclass(1), "VarSubclass"),
+            (1, "int"),
+            (0, "int"),
+        ],
+    )
+    def test_selector_answer_not_a_bool(self, answer, kind):
         rogue = SelectorOracle(lambda a, b: answer)
-        with pytest.raises(OracleContractViolation, match=f"type {kind}, not a formula"):
+        with pytest.raises(OracleContractViolation, match=f"type {kind}, not bool$"):
             decide_via_selector(parse("x1 & x2"), rogue)
 
 
