@@ -13,7 +13,10 @@ single spaces around binary operators; chains of the same connective are
 flattened, so the encoded length of a formula is stable under simplification.
 
 A split on a variable builds both children in one walk (``split``), after
-``simplify``; ``self_reduce`` is ``split`` on the least variable.
+``simplify``; ``self_reduce`` is ``split`` on the least variable.  Both take
+an optional memo the caller owns, so subtrees that many formulas share are
+split once per variable.  A rebuilt connective is built in one step unless
+a part is of its own kind and must be flattened into it.
 
 Truth tables count models (``brute_force_count``) or find the lowest one
 (``first_model``); a ``ModelStore`` holds a formula against all its models
@@ -415,16 +418,22 @@ def simplify(formula: Formula) -> Formula:
     return _folded(cls, map(simplify, formula.children), formula)
 
 
-def _split(formula: Formula, index: int, bit: int) -> tuple[Formula, Formula]:
+def _split(formula: Formula, index: int, bit: int, memo: dict) -> tuple[Formula, Formula]:
     """Both children of a simplified formula that holds x_index (mask
     ``bit``): the formula with the variable True and with it False,
     simplified.  Only the paths to the variable are rebuilt, and new nodes
-    are marked simplified."""
+    are marked simplified.
+
+    ``memo`` maps the identity of each child split so far on this variable
+    to ``(true, false, child)``: a child met again, in this formula or
+    another that shares the memo, is split once.  The stored child keeps its
+    id valid while the memo lives; without it, CPython would give a freed
+    child's id to a new node and the memo would answer for the wrong node."""
     cls = type(formula)
     if cls is Var:
         return TRUE, FALSE
     if cls is Not:
-        true_child, false_child = _split(formula.child, index, bit)
+        true_child, false_child = _split(formula.child, index, bit, memo)
         return _negated(true_child), _negated(false_child)
     if cls is not And and cls is not Or:
         raise _not_a_formula(formula)
@@ -436,8 +445,11 @@ def _split(formula: Formula, index: int, bit: int) -> tuple[Formula, Formula]:
             true_child, false_child = TRUE, FALSE
         elif child_cls is Var or not variable_mask(child) & bit:
             true_child = false_child = child
+        elif (known := memo.get(id(child))) is not None:
+            true_child, false_child, _ = known
         else:
-            true_child, false_child = _split(child, index, bit)
+            true_child, false_child = _split(child, index, bit, memo)
+            memo[id(child)] = true_child, false_child, child
         true_parts.append(true_child)
         false_parts.append(false_child)
     return _folded(cls, true_parts), _folded(cls, false_parts)
@@ -458,11 +470,14 @@ def _folded(cls: type, parts: Iterable[Formula], original: Formula | None = None
     ``original`` stands when every part is its own child."""
     absorbing = cls is Or  # False absorbs And, True absorbs Or
     kept: list[Formula] = []
+    nested = False  # whether a part is a cls, which the constructor flattens
     for part in parts:
-        if type(part) is Const:
+        part_cls = type(part)
+        if part_cls is Const:
             if part.value == absorbing:
                 return TRUE if absorbing else FALSE
             continue
+        nested = nested or part_cls is cls
         kept.append(part)
     if not kept:
         return FALSE if absorbing else TRUE
@@ -471,7 +486,7 @@ def _folded(cls: type, parts: Iterable[Formula], original: Formula | None = None
     if original is not None and len(kept) == len(original.children):
         if all(map(operator.is_, kept, original.children)):
             return _marked(original)
-    return _marked(cls(*kept))
+    return _marked(cls(*kept)) if nested else _flat(cls, tuple(kept), True)
 
 
 def _marked(node: Formula) -> Formula:
@@ -508,7 +523,7 @@ def _flat(cls: type, children: tuple[Formula, ...], simple: bool = False) -> For
     return node
 
 
-def split(formula: Formula, index: int) -> tuple[Formula, Formula]:
+def split(formula: Formula, index: int, memo: dict | None = None) -> tuple[Formula, Formula]:
     """Both children of a split on x_index, built in one walk: simplify(F)
     with the variable True and with it False.
 
@@ -516,6 +531,11 @@ def split(formula: Formula, index: int) -> tuple[Formula, Formula]:
     are kept as they are, shared by both children.  Each child's variable
     set is contained in vars(F) minus the split variable, and its
     serialization is strictly shorter than the input's.
+
+    ``memo`` is an optional dict the caller owns and passes to every split
+    of formulas that share subtrees: each shared subtree is then split once
+    per variable, and the children share its split.  The results equal
+    those of a split without it.
     """
     if not (index > 0 and variable_mask(formula) >> index & 1):
         raise UnknownVariable(f"variable x{index} does not occur in the formula")
@@ -523,11 +543,11 @@ def split(formula: Formula, index: int) -> tuple[Formula, Formula]:
     bit = 1 << index
     if simple is not formula and not variable_mask(simple) & bit:
         return simple, simple  # simplification dropped the variable
-    return _split(simple, index, bit)
+    return _split(simple, index, bit, {} if memo is None else memo.setdefault(index, {}))
 
 
-def self_reduce(formula: Formula) -> tuple[Formula, Formula, int]:
-    """``split`` on the least occurring variable.
+def self_reduce(formula: Formula, memo: dict | None = None) -> tuple[Formula, Formula, int]:
+    """``split`` on the least occurring variable, through ``memo`` if given.
 
     Returns (F with the variable True, F with it False, the variable); the
     input is satisfiable iff at least one of the two children is.
@@ -536,7 +556,7 @@ def self_reduce(formula: Formula) -> tuple[Formula, Formula, int]:
     if not mask:
         raise NoVariables("cannot self-reduce a constant formula")
     least = (mask & -mask).bit_length() - 1
-    return (*split(formula, least), least)
+    return (*split(formula, least, memo), least)
 
 
 def place_variables(formula: Formula, start: int) -> Formula:

@@ -212,13 +212,12 @@ def adversarial_selector(seed: int) -> SelectorOracle:
     """Contract-respecting but unhelpful: a pick the contract leaves open is
     pseudo-random from the seed, or the first of two equal texts."""
     has_model = _model_checker()
-    sat = _by_text(lambda f, key: has_model(f))
+    sat = _by_text(lambda f, key: (has_model(f), key))  # each text read off its memo key
 
     def choose(a: Formula, b: Formula) -> bool:
-        sat_a, sat_b = sat(a), sat(b)
+        (sat_a, text_a), (sat_b, text_b) = sat(a), sat(b)
         if sat_a != sat_b:
             return sat_a
-        text_a, text_b = serialize(a), serialize(b)
         return text_a == text_b or _digest_int(seed, text_a, text_b) % 2 == 0
 
     return SelectorOracle(choose)

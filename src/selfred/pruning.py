@@ -17,10 +17,12 @@ parents in level order, and dedup keeps the first occurrence, so traces are
 deterministic.  Each node splits on its own least variable, so a residual
 formula met at one depth often recurs at a later one: within a walk it is
 split once, and every copy shares its children (the same node objects).
-Every child is still mapped through the oracle, so calls, levels and prune
-events are those of a walk that splits each copy afresh.  Constant nodes
-ride along unchanged until every node is constant; the verdict is whether
-any surviving leaf is True.
+Subtrees that several nodes share are split once per variable through one
+memo per walk, and each child carries the text it was interned by to the
+prune.  Every child is still mapped through the oracle, so calls, levels
+and prune events are those of a walk that splits each copy afresh.
+Constant nodes ride along unchanged until every node is constant; the
+verdict is whether any surviving leaf is True.
 """
 from __future__ import annotations
 
@@ -91,54 +93,61 @@ def _split_frontier(
     oracle_map,
     root_length: int,
     interned: dict[str, Formula],
-    splits: dict[int, list[Formula]],
-) -> list[tuple[Formula, str]]:
+    splits: dict[int, list[tuple[Formula, str]]],
+    cofactors: dict,
+) -> list[tuple[Formula, str, str | None]]:
     """One level of splitting; constants pass through without a new call.
 
-    Each new child is interned by its text in ``interned``, so a formula met
-    again is the same object, and ``splits`` keys its children by that
-    object's identity: a recurring formula is split and checked once.  Both
-    dicts live for one walk; every node split is the root or held in
-    ``interned``, so no identity is reused while they live.
+    Returns (child, image, text) triples; a constant passed through carries
+    no text.  Each new child is interned by its text in ``interned``, so a
+    formula met again is the same object, and ``splits`` keys its children
+    and their texts by that object's identity: a recurring formula is split
+    and checked once.  ``cofactors`` is ``self_reduce``'s memo, so a subtree
+    that several nodes share is split once per variable.  All three live for
+    one walk; every node split is the root or held in ``interned``, so no
+    identity is reused while they live.
     """
-    children: list[tuple[Formula, str]] = []
+    children: list[tuple[Formula, str, str | None]] = []
     for node, image in frontier:
         if type(node) is Const:
-            children.append((node, image))
+            children.append((node, image, None))
             continue
         pair = splits.get(id(node))
         if pair is None:
-            *pair, _ = self_reduce(node)  # split on the least variable
-            for side, child in enumerate(pair):
+            pair = []
+            for child in self_reduce(node, cofactors)[:2]:  # split on the least variable
                 text = serialize(child)
                 if len(text) > root_length:
                     raise EncodingInvariantBroken(
                         f"child {text!r} exceeds the input length {root_length}"
                     )
-                pair[side] = interned.setdefault(text, child)
+                pair.append((interned.setdefault(text, child), text))
             splits[id(node)] = pair
-        for child in pair:
-            children.append((child, oracle_map(child)))
+        for child, text in pair:
+            children.append((child, oracle_map(child), text))
     return children
 
 
 def _prune(
-    children: list[tuple[Formula, str]],
+    children: list[tuple[Formula, str, str | None]],
     admit: Callable[[str], bool] | None,
 ) -> tuple[list[tuple[Formula, str]], list[PruneEvent]]:
     """Drop children whose image ``admit`` rejects, then later duplicates of a
-    kept image, in one pass so events stay in child order."""
+    kept image, in one pass so events stay in child order.  An event names
+    the child by its carried text, serialized only where it carries none."""
     kept: list[tuple[Formula, str]] = []
     seen: set[str] = set()
     events: list[PruneEvent] = []
-    for child, image in children:
+    for child, image, text in children:
         if admit is not None and not admit(image):
-            events.append(PruneEvent(NON_TALLY, serialize(child)))
+            kind, surviving = NON_TALLY, None
         elif image in seen:
-            events.append(PruneEvent(DUPLICATE_IMAGE, serialize(child), image))
+            kind, surviving = DUPLICATE_IMAGE, image
         else:
             seen.add(image)
             kept.append((child, image))
+            continue
+        events.append(PruneEvent(kind, serialize(child) if text is None else text, surviving))
     return kept, events
 
 
@@ -167,9 +176,10 @@ def _walk_levels(
     widths: list[tuple[int, int]] = []
     capped_levels: list[int] = []
     crossed_at: int | None = None
-    children = [(root, oracle.map(root))]
+    children = [(root, oracle.map(root), None)]
     interned: dict[str, Formula] = {}
-    splits: dict[int, list[Formula]] = {}
+    splits: dict[int, list[tuple[Formula, str]]] = {}
+    cofactors: dict = {}
     depth = 0
     while True:
         frontier, events = _prune(children, admit)
@@ -191,7 +201,7 @@ def _walk_levels(
             outcome = OUTCOME_SAT if verdict else OUTCOME_UNSAT
             break
         depth += 1
-        children = _split_frontier(frontier, oracle.map, root_length, interned, splits)
+        children = _split_frontier(frontier, oracle.map, root_length, interned, splits, cofactors)
 
     calls = oracle.call_counter - calls_before
     return verdict, LevelStats(widths, calls, outcome, levels, budget, crossed_at, capped_levels)

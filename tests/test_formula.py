@@ -1264,6 +1264,65 @@ class TestOneWalkSplit:
         assert list(inspect.signature(formula_module.simplify).parameters) == ["formula"]
 
 
+def is_flat(formula) -> bool:
+    """Whether every node reads back as itself: no connective holds a child
+    of its own kind, which the text cannot spell."""
+    return all(parse(serialize(node)) == node for node in subtrees(formula))
+
+
+class TestCofactorMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(formulas(max_vars=5, max_leaves=10), formulas(max_vars=5, max_leaves=10))
+    def test_shared_subtrees_split_as_fresh(self, left, right):
+        # F, F & G and !F | G share F (or its children) by identity; one memo
+        # serves every split of all three on every variable.
+        shared, other = simplify(left), simplify(right)
+        memo = {}
+        for formula in (shared, And(shared, other), Or(Not(shared), other)):
+            for index in sorted(variables(formula)):
+                fresh = split(formula, index)
+                through = split(formula, index, memo)
+                assert through == fresh
+                assert [serialize(c) for c in through] == [serialize(c) for c in fresh]
+                assert all(is_flat(child) for child in through)
+            if variables(formula):
+                assert self_reduce(formula, memo) == self_reduce(formula)
+
+    def test_a_freed_node_is_not_taken_for_a_new_one(self):
+        # CPython reuses the ids of freed nodes; the memo keeps each node it
+        # keys so that a later formula's node never reads an earlier split.
+        import gc
+
+        memo = {}
+        for seed in range(300):
+            formula = simplify(generate_random(6, 12, seed))
+            for index in sorted(variables(formula)):
+                assert split(formula, index, memo) == split(formula, index)
+            del formula
+            gc.collect()
+
+    @settings(max_examples=300, deadline=None)
+    @given(formulas(max_vars=5, max_leaves=14))
+    def test_children_are_flat(self, formula):
+        memo = {}
+        for index in sorted(variables(formula)):
+            for children in (split(formula, index), split(formula, index, memo)):
+                assert all(is_flat(child) for child in children)
+
+    def test_a_lone_part_of_the_same_connective_is_flattened(self):
+        false_child = split(parse("x4 & (x1 & x5 | x2 & x3)"), 1)[1]
+        assert false_child == parse("x4 & x2 & x3")
+        assert len(false_child.children) == 3
+
+    def test_a_shared_subtree_is_split_once(self):
+        shared = parse("x2 & x4 | x3 & x5")
+        memo = {}
+        first = split(And(shared, Var(6)), 2, memo)[0]
+        second = split(And(shared, Var(7)), 2, memo)[0]
+        assert first == parse("(x4 | x3 & x5) & x6")
+        assert first.children[0] is second.children[0]
+
+
 class TestBlockColumns:
     @pytest.mark.parametrize("width", range(formula_module._BLOCK_VARS + 1))
     def test_columns_of_every_width(self, width):

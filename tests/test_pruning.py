@@ -327,9 +327,9 @@ def split_inputs(monkeypatch):
     """The text of every formula the walker splits, in order."""
     texts = []
 
-    def counted(formula):
+    def counted(formula, *memo):
         texts.append(serialize(formula))
-        return self_reduce(formula)
+        return self_reduce(formula, *memo)
 
     monkeypatch.setattr(selfred.pruning, "self_reduce", counted)
     return texts
@@ -432,8 +432,8 @@ class TestEncodingInvariant:
     def test_child_longer_than_the_input_is_named(self, monkeypatch, decide, target):
         # The split of ``target`` (the root, or a node both deciders keep at
         # depth 1) yields a child longer than the input: the walk must say so.
-        def lengthening(formula):
-            true_child, false_child, index = self_reduce(formula)
+        def lengthening(formula, *memo):
+            true_child, false_child, index = self_reduce(formula, *memo)
             if serialize(formula) == target:
                 return true_child, parse(self.LONG), index
             return true_child, false_child, index
