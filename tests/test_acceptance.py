@@ -5,7 +5,6 @@ lines.  The corpus is the exhaustive set of small formulas plus 500 seeded
 random formulas with up to 10 variables (session fixtures in conftest)."""
 
 import time
-from itertools import product
 
 import pytest
 
@@ -38,11 +37,7 @@ from selfred.oracles import (
 from selfred.pruning import OUTCOME_EARLY_SAT, decide_via_sparse, decide_via_tally
 from selfred.selector import decide_via_selector
 
-
-def all_assignments(indices):
-    """Every assignment over the given variable indices."""
-    ordered = sorted(indices)
-    return (dict(zip(ordered, values)) for values in product((False, True), repeat=len(ordered)))
+from references import assignments
 
 
 def report(number: int, detail: str, violations: list, elapsed: float, budget: float | None):
@@ -77,7 +72,7 @@ def test_criterion_1_self_reducibility(full_corpus, reference_sat, reference_cou
             violations.append(("sat", serialize(formula)))
         slots = variables(formula) - {split}
         total = 0
-        for assignment in all_assignments(slots):
+        for assignment in assignments(slots):
             total += evaluate(true_child, assignment)
             total += evaluate(false_child, assignment)
         if ref_count != total:

@@ -33,6 +33,8 @@ from selfred.counting import (
     link_disagreeing_triples,
 )
 
+from references import renamed
+
 
 @pytest.fixture(scope="module")
 def corpus():
@@ -129,7 +131,7 @@ class TestDecode:
         assert decode_all(recipe, 3 * 32) == ((3, 0, 0), False)  # a = 3 > 2^1
 
 
-class TestCombine3:
+class TestCombineThreeOperands:
     def test_derived_triple(self):
         # Expected values frozen from brute force: 4 models, children 2 + 2.
         formula = parse("(x1 | x2) & (!x1 | x3)")
@@ -185,20 +187,13 @@ SMALL_FORMULAS = st.recursive(
 )
 
 
-def rename_variables(formula, mapping):
-    """The renamed copy that the package's public renaming built, through
-    the kernel's one-step copier: x_i becomes x_mapping[i] for every
-    occurring variable."""
-    return formula_module._map_vars(formula, {i: Var(mapping[i]) for i in variables(formula)})
-
-
 @st.composite
 def operand_triples(draw):
     """Three formulas over x1..x4 moved onto four indices out of 1..12, so
     that most draws leave gaps in the indices (say {2, 5, 9})."""
     slots = sorted(draw(st.lists(st.integers(1, 12), min_size=4, max_size=4, unique=True)))
     relabel = {i: slot for i, slot in enumerate(slots, start=1)}
-    return tuple(rename_variables(draw(SMALL_FORMULAS), relabel) for _ in range(3))
+    return tuple(renamed(draw(SMALL_FORMULAS), relabel) for _ in range(3))
 
 
 def node_count(formula) -> int:
@@ -209,7 +204,7 @@ def node_count(formula) -> int:
     return 1
 
 
-class TestCombine3Layout:
+class TestThreeOperandLayout:
     """combine with three operands places the children straight into the
     range after the formula's variables and copies nothing that is already
     in place."""
@@ -254,8 +249,8 @@ class TestCombine3Layout:
 
         n = len(variables(formula))
         shift = {v: v + n for v in variables(old_inner.combined)}
-        assert recipe.inner.renamed_left == rename_variables(old_inner.renamed_left, shift)
-        assert recipe.inner.renamed_right == rename_variables(old_inner.renamed_right, shift)
+        assert recipe.inner.renamed_left == renamed(old_inner.renamed_left, shift)
+        assert recipe.inner.renamed_right == renamed(old_inner.renamed_right, shift)
         assert recipe.inner.fresh_vars == tuple(v + n for v in old_inner.fresh_vars)
         old = replace(old_outer, inner=old_inner)
         count = exact_model_count(recipe.combined)

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import inspect
+from pathlib import Path
 from types import ModuleType
 
 import selfred
@@ -29,3 +31,19 @@ def test_every_exported_kernel_function_has_a_caller():
     assert kernel
     uncalled = [f.__name__ for f in kernel if not any(f is value for value in bound)]
     assert set(uncalled) <= USER_API
+
+
+def test_references_take_only_the_node_constructors():
+    # The test references share no code with the engine: they import the
+    # five node classes and nothing else of the package, and read no private
+    # attribute (the cache slots among them).
+    tree = ast.parse(Path(__file__).with_name("references.py").read_text())
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "selfred":
+            taken |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.split(".")[0] == "selfred" for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            assert not node.attr.startswith("_"), node.attr
+    assert taken == {"Const", "Var", "Not", "And", "Or"}

@@ -1,14 +1,11 @@
 import copy
 import dataclasses
-import functools
-import operator
 import pickle
 import random
 import re
 import sys
 import threading
 import time
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +58,18 @@ from selfred.oracles import (
 from selfred.pruning import decide_via_sparse, decide_via_tally
 from selfred.selector import decide_via_selector
 
+from references import (
+    count,
+    evaluated,
+    is_flat,
+    lowest_model,
+    reference_simplify,
+    reference_variables,
+    renamed,
+    substituted,
+    subtrees,
+)
+
 
 def formulas(max_vars: int = 4, max_leaves: int = 8) -> st.SearchStrategy:
     leaf = st.one_of(
@@ -76,24 +85,6 @@ def formulas(max_vars: int = 4, max_leaves: int = 8) -> st.SearchStrategy:
         ),
         max_leaves=max_leaves,
     )
-
-
-def all_assignments(indices):
-    """Every assignment over the given variable indices."""
-    ordered = sorted(indices)
-    return (dict(zip(ordered, values)) for values in product((False, True), repeat=len(ordered)))
-
-
-def rename_variables(formula, mapping):
-    """The renamed copy that the package's public renaming built, through
-    the kernel's one-step copier: x_i becomes x_mapping[i] for every
-    occurring variable."""
-    return formula_module._map_vars(formula, {i: Var(mapping[i]) for i in variables(formula)})
-
-
-def naive_count(formula) -> int:
-    # Independent per-assignment loop, kept separate from the bit-parallel path.
-    return sum(evaluate(formula, a) for a in all_assignments(variables(formula)))
 
 
 class TestParse:
@@ -184,15 +175,8 @@ class TestSimplify:
         once = simplify(formula)
         assert simplify(once) == once
 
-    @settings(max_examples=200, deadline=None)
-    @given(formulas(max_vars=3, max_leaves=6))
-    def test_preserves_models_on_same_variables(self, formula):
-        simplified = simplify(formula)
-        for assignment in all_assignments(variables(formula)):
-            assert evaluate(formula, assignment) == evaluate(simplified, assignment)
 
-
-class TestSubstitute:
+class TestSplitExamples:
     def test_identity_under_true_conjunct(self):
         assert split(parse("x1 & x2"), 1)[0] == Var(2)
 
@@ -203,33 +187,10 @@ class TestSubstitute:
         result = split(parse("(x1 & x2 & !x3) | (x4 & !x4)"), 1)[0]
         assert serialize(result) == "x2 & !x3 | x4 & !x4"
 
-    def test_unknown_variable(self):
-        with pytest.raises(UnknownVariable):
-            split(parse("x1"), 2)
-
     @pytest.mark.parametrize("index", [0, -3, 10**15])
     def test_index_outside_the_mask_is_unknown(self, index):
         with pytest.raises(UnknownVariable):
             split(parse("x1 & x2"), index)
-
-    @settings(max_examples=300, deadline=None)
-    @given(formulas(), st.integers(1, 4), st.booleans())
-    def test_strictly_length_decreasing(self, formula, index, value):
-        if index not in variables(formula):
-            return
-        child = split(formula, index)[0 if value else 1]
-        assert len(serialize(child)) < len(serialize(formula))
-        assert variables(child) <= variables(formula) - {index}
-
-    @settings(max_examples=200, deadline=None)
-    @given(formulas(), st.integers(1, 4))
-    def test_children_agree_with_evaluate(self, formula, index):
-        if index not in variables(formula):
-            return
-        children = split(formula, index)
-        for assignment in all_assignments(variables(formula)):
-            child = children[0 if assignment[index] else 1]
-            assert evaluate(child, assignment) == evaluate(formula, assignment)
 
 
 class TestSelfReduce:
@@ -284,49 +245,6 @@ class TestBruteForce:
         with pytest.raises(TooLarge):
             brute_force_sat(parse("x1 & x2 & x3"))
 
-    @settings(max_examples=300, deadline=None)
-    @given(formulas())
-    def test_matches_per_assignment_enumeration(self, formula):
-        assert brute_force_count(formula) == naive_count(formula)
-
-    @settings(max_examples=200, deadline=None)
-    @given(formulas(max_vars=3, max_leaves=6))
-    def test_evaluate_agrees_on_full_substitution(self, formula):
-        for assignment in all_assignments(variables(formula)):
-            ground = formula
-            for index, value in assignment.items():
-                if index in variables(ground):
-                    ground = split(ground, index)[0 if value else 1]
-            assert brute_force_count(ground) == int(evaluate(formula, assignment))
-
-
-def dense_count(formula) -> int:
-    """Model count from one truth table over all 2^k assignments, built
-    independently of the blocked evaluation: from bit 0 up, the column of
-    the variable of rank r repeats 2^r zeros and 2^r ones."""
-    occurring = sorted(variables(formula))
-    total = 1 << len(occurring)
-    full = (1 << total) - 1
-    columns = {}
-    for rank, index in enumerate(occurring):
-        half = 1 << rank
-        columns[index] = int(("1" * half + "0" * half) * (total // (2 * half)), 2)
-
-    def table(node) -> int:
-        match node:
-            case Const(value):
-                return full if value else 0
-            case Var(index):
-                return columns[index]
-            case Not(child):
-                return full ^ table(child)
-            case And(children):
-                return functools.reduce(operator.and_, map(table, children), full)
-            case Or(children):
-                return functools.reduce(operator.or_, map(table, children), 0)
-
-    return table(formula).bit_count()
-
 
 def with_constant_children(formula, rng):
     """The formula with a constant child added to some And/Or nodes.  Every
@@ -368,7 +286,7 @@ class TestBlockedTruthTable:
         for seed in range(3):
             formula = with_constant_children(generate_random(k, 2 * k + 2, 500 * k + seed), rng)
             assert variable_mask(formula).bit_count() == k
-            expected = dense_count(formula)
+            expected = count(formula)
             assert brute_force_count(formula) == expected
             assert brute_force_sat(formula) == (expected > 0)
 
@@ -402,23 +320,7 @@ class TestBlockedTruthTable:
         assert blocks[0] == 0
 
 
-def lowest_model_by_enumeration(formula):
-    """The model with the lowest assignment number m, where the variable of
-    rank r takes bit r of m, found by evaluating one assignment at a time."""
-    occurring = sorted(variables(formula))
-    for number in range(1 << len(occurring)):
-        assignment = {index: bool(number >> rank & 1) for rank, index in enumerate(occurring)}
-        if evaluate(formula, assignment):
-            return assignment
-    return None
-
-
 class TestFirstModel:
-    @settings(max_examples=300, deadline=None)
-    @given(formulas())
-    def test_lowest_model_by_enumeration(self, formula):
-        assert first_model(formula) == lowest_model_by_enumeration(formula)
-
     @pytest.mark.parametrize("k", [16, 17, 18, 20])
     def test_models_across_blocks(self, k):
         rng = random.Random(k)
@@ -428,7 +330,7 @@ class TestFirstModel:
             assert (model is None) == (brute_force_count(formula) == 0)
             if model is not None:
                 assert set(model) == variables(formula)
-                assert evaluate(formula, model)
+                assert evaluated(formula, model)
 
     def test_only_model_in_last_block(self, monkeypatch):
         blocks = count_blocks(monkeypatch)
@@ -456,25 +358,33 @@ class TestFirstModel:
             first_model(parse("x1 & x2 & x3"))
 
 
-# A model as a store keeps it: values of some variables among x1..x6.
-MODELS = st.dictionaries(st.integers(1, 6), st.booleans())
-
-
-def satisfied_by(formula, model) -> bool:
-    """The formula under the model, with the variables it leaves out False."""
-    return evaluate(formula, {index: model.get(index, False) for index in variables(formula)})
+# Models as a store keeps them, values of some variables among x1..x6 or
+# x1..x8, with queries over the same variables: a few models, or many.
+STORED_AND_ASKED = st.one_of(
+    st.tuples(
+        st.lists(st.dictionaries(st.integers(1, 6), st.booleans()), max_size=6),
+        st.lists(formulas(max_vars=6), min_size=1, max_size=5),
+    ),
+    st.tuples(
+        st.lists(st.dictionaries(st.integers(1, 8), st.booleans()), max_size=40),
+        st.lists(formulas(max_vars=8, max_leaves=14), min_size=1, max_size=4),
+    ),
+)
 
 
 class TestModelStore:
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(MODELS, max_size=6), st.lists(formulas(max_vars=6), min_size=1, max_size=5))
-    def test_holds_exactly_when_a_kept_model_satisfies(self, models, queries):
+    @given(STORED_AND_ASKED)
+    def test_holds_exactly_when_a_kept_model_satisfies(self, stored_and_asked):
+        # A variable that a model leaves out reads False.
+        models, queries = stored_and_asked
         store = ModelStore()
         for model in models:
             store.add(model)
         assert store.size == len(models)
         for query in queries:
-            assert store.holds(query) == any(satisfied_by(query, model) for model in models)
+            completed = [{i: model.get(i, False) for i in reference_variables(query)} for model in models]
+            assert store.holds(query) == any(evaluated(query, assignment) for assignment in completed)
 
     def test_empty_store_holds_nothing(self):
         store = ModelStore()
@@ -486,6 +396,7 @@ class TestModelStore:
         store.add({1: True})
         assert store.holds(parse("x1 & !x2"))
         assert not store.holds(parse("x1 & x2"))
+        assert not store.holds(parse("!x1"))  # its one model sets x1
         assert store[2] == 0 and 2 not in store  # reading a column adds none
 
     def test_emptied_when_full(self):
@@ -512,48 +423,7 @@ class TestModelStore:
         assert model == {1: False}
 
 
-class TestSelfReducibilityProperties:
-    @settings(max_examples=300, deadline=None)
-    @given(formulas())
-    def test_sat_decomposition(self, formula):
-        if not variables(formula):
-            return
-        true_child, false_child, _ = self_reduce(formula)
-        assert brute_force_sat(formula) == (
-            brute_force_sat(true_child) or brute_force_sat(false_child)
-        )
-
-    @settings(max_examples=300, deadline=None)
-    @given(formulas())
-    def test_count_decomposition_over_residual_slots(self, formula):
-        if not variables(formula):
-            return
-        true_child, false_child, split_var = self_reduce(formula)
-        slots = variables(formula) - {split_var}
-        total = 0
-        for assignment in all_assignments(slots):
-            total += evaluate(true_child, assignment)
-            total += evaluate(false_child, assignment)
-        assert brute_force_count(formula) == total
-
-
 class TestRename:
-    def test_rename(self):
-        renamed = rename_variables(parse("x1 & !x2"), {1: 5, 2: 7})
-        assert serialize(renamed) == "x5 & !x7"
-
-    def test_rename_preserves_count(self):
-        formula = parse("(x1 | x2) & !x3")
-        renamed = rename_variables(formula, {1: 10, 2: 20, 3: 30})
-        assert brute_force_count(renamed) == brute_force_count(formula)
-
-    @settings(max_examples=200, deadline=None)
-    @given(formulas(max_vars=6), st.integers(1, 40))
-    def test_place_keeps_every_variable_apart(self, formula, start):
-        placed = place_variables(formula, start)
-        assert variables(placed) == set(range(start, start + len(variables(formula))))
-        assert brute_force_count(placed) == brute_force_count(formula)
-
     def test_place_checks_start_before_returning_a_formula_in_place(self):
         in_place = parse("x1 & x2")
         assert place_variables(in_place, 1) is in_place
@@ -880,20 +750,8 @@ class TestNesting:
             walk(formula)
 
 
-# Uncached reference definitions of the kernel, as the module had them
-# before nodes carried caches; the cached functions must agree with them.
-def reference_variables(formula):
-    match formula:
-        case Const():
-            return frozenset()
-        case Var(index):
-            return frozenset((index,))
-        case Not(child):
-            return reference_variables(child)
-        case And(children) | Or(children):
-            return frozenset().union(*(reference_variables(c) for c in children))
-
-
+# The uncached serializer, as the module had it before nodes carried caches;
+# the cached one must agree with it.
 def reference_serialize(formula, context=0):
     # Precedence levels: Or 0 < And 1 < unary 2.
     match formula:
@@ -909,53 +767,6 @@ def reference_serialize(formula, context=0):
             return f"({text})" if context > own else text
 
 
-def reference_simplify(formula):
-    match formula:
-        case Const() | Var():
-            return formula
-        case Not(child):
-            inner = reference_simplify(child)
-            return Const(not inner.value) if isinstance(inner, Const) else Not(inner)
-        case And(children) | Or(children):
-            absorbing = isinstance(formula, Or)
-            kept = []
-            for child in children:
-                inner = reference_simplify(child)
-                if isinstance(inner, Const):
-                    if inner.value == absorbing:
-                        return Const(absorbing)
-                    continue
-                kept.append(inner)
-            if not kept:
-                return Const(not absorbing)
-            return kept[0] if len(kept) == 1 else type(formula)(*kept)
-
-
-def reference_substitute(formula, index, value):
-    def assign(node):
-        match node:
-            case Const():
-                return node
-            case Var(i):
-                return Const(value) if i == index else node
-            case Not(child):
-                return Not(assign(child))
-            case And(children) | Or(children):
-                return type(node)(*(assign(c) for c in children))
-
-    return reference_simplify(assign(formula))
-
-
-def subtrees(formula):
-    yield formula
-    match formula:
-        case Not(child):
-            yield from subtrees(child)
-        case And(children) | Or(children):
-            for child in children:
-                yield from subtrees(child)
-
-
 class TestCachedKernel:
     @settings(max_examples=300, deadline=None)
     @given(formulas(max_vars=6, max_leaves=12))
@@ -968,28 +779,9 @@ class TestCachedKernel:
             for node in subtrees(formula):
                 assert serialize(node) == reference_serialize(node)
 
-    @settings(max_examples=300, deadline=None)
-    @given(formulas(max_vars=6, max_leaves=12), st.booleans(), st.booleans())
-    def test_substitute_matches_reference(self, formula, value, presimplify):
-        if presimplify:
-            formula = simplify(formula)
-        for index in sorted(reference_variables(formula)):
-            expected = reference_substitute(formula, index, value)
-            result = split(formula, index)[0 if value else 1]
-            assert result == expected
-            assert serialize(result) == reference_serialize(expected)
-            assert variables(result) == reference_variables(expected)
-        # A whole walk down one branch, each step on the previous result.
-        current = formula
-        while reference_variables(current):
-            index = min(reference_variables(current))
-            expected = reference_substitute(current, index, value)
-            current = split(current, index)[0 if value else 1]
-            assert current == expected and serialize(current) == reference_serialize(expected)
-
     @settings(max_examples=200, deadline=None)
     @given(formulas(max_vars=6, max_leaves=12), st.booleans())
-    def test_substitute_keeps_children_without_the_variable(self, formula, value):
+    def test_split_keeps_children_without_the_variable(self, formula, value):
         formula = simplify(formula)
         if not isinstance(formula, (And, Or)):
             return
@@ -1001,14 +793,6 @@ class TestCachedKernel:
                 if index not in variables(child):
                     assert any(child is kept for kept in result.children)
 
-    def test_substitute_shares_untouched_subtrees(self):
-        formula = simplify(parse("(x1 | x2 & !(x3 | x4)) & (x5 | !x6) & !(x7 & x8)"))
-        result = split(formula, 1)[1]
-        first, second, third = formula.children
-        assert result.children[-2] is second and result.children[-1] is third
-        # x1 = F leaves x2 & !(x3 | x4), which flattens into the outer And.
-        assert result.children[1] is first.children[1].children[1]
-
     def test_high_indices_beyond_the_cached_mask_width(self):
         formula = parse("(x5000 | !x3) & (x7000 | x5000) & !x2")
         for _ in range(2):
@@ -1016,8 +800,8 @@ class TestCachedKernel:
             assert formula._mask is None  # too wide to keep
             assert variable_mask(formula) == (1 << 2) | (1 << 3) | (1 << 5000) | (1 << 7000)
         for index in (3, 5000, 7000):
-            assert split(formula, index)[1] == reference_substitute(formula, index, False)
-        assert brute_force_count(formula) == naive_count(formula)
+            assert split(formula, index)[1] == substituted(formula, index, False)
+        assert brute_force_count(formula) == count(formula)
 
     def test_simplify_returns_a_simplified_formula_itself(self):
         once = simplify(parse("x1 & (x2 | !x3) & T"))
@@ -1064,7 +848,7 @@ class TestCachedKernel:
             for i in range(1, 40)
         ]
         expected = [
-            (reference_serialize(f), reference_variables(f), reference_substitute(f, i, True))
+            (reference_serialize(f), reference_variables(f), substituted(f, i, True))
             for i, f in enumerate(shared, start=1)
         ]
         failures = []
@@ -1179,62 +963,40 @@ class TestMalformedInput:
         assert isinstance(caught.value, TypeError)
 
 
-def simplify_with_assignment(formula, bit, value):
-    """simplify(formula) with the variable of mask ``bit`` (0: none) set to
-    ``value``, in one walk: the kernel's substitution walker before splits
-    built both children in one walk, and the reference for them."""
-    if bit and not bit & variable_mask(formula):
-        bit = 0
-    cls = type(formula)
-    if cls is Var or cls is Const:
-        return value if bit else formula
-    if not bit and formula._simple:
-        return formula
-    if cls is Not:
-        child = formula.child
-        inner = simplify_with_assignment(child, bit, value)
-        if type(inner) is Const:
-            return Const(not inner.value)
-        result = formula if inner is child else Not(inner)
-    else:
-        children = formula.children
-        absorbing = cls is Or
-        kept = []
-        for child in children:
-            inner = simplify_with_assignment(child, bit, value)
-            if type(inner) is Const:
-                if inner.value == absorbing:
-                    return Const(absorbing)
-                continue
-            kept.append(inner)
-        if not kept:
-            return Const(not absorbing)
-        if len(kept) == 1:
-            return kept[0]
-        unchanged = len(kept) == len(children) and all(map(operator.is_, kept, children))
-        result = formula if unchanged else cls(*kept)
-    return result
+# Every formula strategy the split has been checked on.
+SPLIT_INPUTS = st.one_of(formulas(max_vars=5, max_leaves=14), formulas(max_vars=6, max_leaves=12), formulas())
 
 
 class TestOneWalkSplit:
     @settings(max_examples=400, deadline=None)
-    @given(formulas(max_vars=5, max_leaves=14), st.booleans())
+    @given(SPLIT_INPUTS, st.booleans())
     def test_children_match_the_assigning_walk(self, formula, presimplify):
         if presimplify:
             formula = simplify(formula)
-        for index in sorted(variables(formula)):
-            children = formula_module.split(formula, index)
-            for child, value in zip(children, (True, False)):
-                expected = simplify_with_assignment(formula, 1 << index, Const(value))
+        occurring = reference_variables(formula)
+        for index in sorted(occurring):
+            for child, value in zip(split(formula, index), (True, False)):
+                expected = substituted(formula, index, value)
                 assert child == expected
-                assert serialize(child) == serialize(expected)
+                assert serialize(child) == reference_serialize(expected)
+                assert variables(child) == reference_variables(expected) <= occurring - {index}
+                assert len(serialize(child)) < len(reference_serialize(formula))
+                assert is_flat(child)
                 if isinstance(child, (Not, And, Or)):
                     assert child._simple  # marked, so simplify returns it at once
                 assert simplify(child) is child
-        if variables(formula):
+        for value in (True, False):
+            # A whole walk down one branch, each step on the previous result.
+            current = formula
+            while reference_variables(current):
+                index = min(reference_variables(current))
+                expected = substituted(current, index, value)
+                current = split(current, index)[0 if value else 1]
+                assert current == expected and serialize(current) == reference_serialize(expected)
+        if occurring:
             true_child, false_child, split_var = self_reduce(formula)
-            assert split_var == min(variables(formula))
-            assert (true_child, false_child) == formula_module.split(formula, split_var)
+            assert split_var == min(occurring)
+            assert (true_child, false_child) == split(formula, split_var)
 
     def test_both_children_share_the_untouched_subtrees(self):
         formula = simplify(parse("(x1 | x2 & !(x3 | x4)) & (x5 | !x6) & !(x7 & x8)"))
@@ -1264,12 +1026,6 @@ class TestOneWalkSplit:
         assert list(inspect.signature(formula_module.simplify).parameters) == ["formula"]
 
 
-def is_flat(formula) -> bool:
-    """Whether every node reads back as itself: no connective holds a child
-    of its own kind, which the text cannot spell."""
-    return all(parse(serialize(node)) == node for node in subtrees(formula))
-
-
 class TestCofactorMemo:
     @settings(max_examples=300, deadline=None)
     @given(formulas(max_vars=5, max_leaves=10), formulas(max_vars=5, max_leaves=10))
@@ -1291,23 +1047,14 @@ class TestCofactorMemo:
     def test_a_freed_node_is_not_taken_for_a_new_one(self):
         # CPython reuses the ids of freed nodes; the memo keeps each node it
         # keys so that a later formula's node never reads an earlier split.
-        import gc
-
+        # Formula trees hold no reference cycles, so ``del`` frees a formula's
+        # nodes at once, with no collection.
         memo = {}
         for seed in range(300):
             formula = simplify(generate_random(6, 12, seed))
             for index in sorted(variables(formula)):
                 assert split(formula, index, memo) == split(formula, index)
             del formula
-            gc.collect()
-
-    @settings(max_examples=300, deadline=None)
-    @given(formulas(max_vars=5, max_leaves=14))
-    def test_children_are_flat(self, formula):
-        memo = {}
-        for index in sorted(variables(formula)):
-            for children in (split(formula, index), split(formula, index, memo)):
-                assert all(is_flat(child) for child in children)
 
     def test_a_lone_part_of_the_same_connective_is_flattened(self):
         false_child = split(parse("x4 & (x1 & x5 | x2 & x3)"), 1)[1]
@@ -1360,41 +1107,30 @@ class TestReimport:
         assert done.stdout.strip() == "1"
 
 
-def recursive_evaluate(formula, assignment):
-    """The recursive evaluator that evaluate() was before it became the
-    truth table over one assignment: the reference for it."""
-    match formula:
-        case Const(value):
-            return value
-        case Var(index):
-            return assignment[index]
-        case Not(child):
-            return not recursive_evaluate(child, assignment)
-        case And(children):
-            return all(recursive_evaluate(c, assignment) for c in children)
-        case Or(children):
-            return any(recursive_evaluate(c, assignment) for c in children)
-
-
 # Values of either truthiness that are not bools.
 TRUTHY_OR_NOT = st.sampled_from([True, False, 0, 1, 2, -1, "", "a", None, [], [0], 0.0, 0.5])
 
 
 class TestEvaluateByTruthTable:
     @settings(max_examples=300, deadline=None)
-    @given(formulas(max_vars=6, max_leaves=14), st.data())
-    def test_matches_the_recursive_evaluator(self, formula, data):
-        assignment = {i: data.draw(TRUTHY_OR_NOT) for i in variables(formula)}
+    @given(
+        st.one_of(formulas(max_vars=6, max_leaves=14), formulas(max_vars=3, max_leaves=6)),
+        st.dictionaries(st.integers(1, 12), TRUTHY_OR_NOT),
+        st.data(),
+    )
+    def test_matches_the_recursive_evaluator(self, formula, extra, data):
+        # Keys of variables that do not occur are ignored.
+        values = {i: data.draw(TRUTHY_OR_NOT) for i in sorted(reference_variables(formula))}
+        assignment = {**extra, **values}
         result = evaluate(formula, assignment)
         assert type(result) is bool
-        assert result == bool(recursive_evaluate(formula, assignment))
-
-    @settings(max_examples=200, deadline=None)
-    @given(formulas(max_vars=6, max_leaves=14), st.dictionaries(st.integers(1, 12), TRUTHY_OR_NOT))
-    def test_extra_keys_are_ignored(self, formula, extra):
-        for values in all_assignments(variables(formula)):
-            assignment = {**extra, **values}
-            assert evaluate(formula, assignment) == bool(recursive_evaluate(formula, assignment))
+        assert result == evaluated(formula, assignment)
+        # Splitting on each variable in turn ends at the same value.
+        ground = formula
+        for index, value in values.items():
+            if index in variables(ground):
+                ground = split(ground, index)[0 if value else 1]
+        assert brute_force_count(ground) == int(result)
 
     @settings(max_examples=300, deadline=None)
     @given(formulas(max_vars=6, max_leaves=14), st.data())
@@ -1405,7 +1141,7 @@ class TestEvaluateByTruthTable:
         missing = data.draw(st.sampled_from(occurring))
         assignment = {i: data.draw(st.booleans()) for i in occurring if i != missing}
         try:
-            expected = bool(recursive_evaluate(formula, assignment))
+            expected = evaluated(formula, assignment)
         except KeyError as exc:  # reached the missing variable: the same one is named
             assert exc.args[0] == missing
             with pytest.raises(IncompleteAssignment, match=f"missing variable x{missing}$"):
@@ -1420,40 +1156,6 @@ class TestEvaluateByTruthTable:
         assert evaluate(Const(True), {}) is True and evaluate(Const(False), {}) is False
         with pytest.raises(IncompleteAssignment, match="x2"):
             evaluate(formula, {1: True, 3: False})
-
-
-def enumerated(formula):
-    """The model count and the lowest model number of the formula, found by
-    evaluating one assignment at a time, in assignment-number order (the
-    variable of rank r takes bit r of the number).  The formula is
-    translated recursively to one Python expression over the values, so
-    that an assignment costs one generator step rather than a tree walk."""
-    occurring = sorted(variables(formula))
-    position = {index: len(occurring) - 1 - rank for rank, index in enumerate(occurring)}
-
-    def source(node) -> str:
-        match node:
-            case Const(value):
-                return repr(value)
-            case Var(index):
-                return f"v[{position[index]}]"
-            case Not(child):
-                return f"(not {source(child)})"
-            case And(children):
-                return "(" + " and ".join(map(source, children)) + ")"
-            case Or(children):
-                return "(" + " or ".join(map(source, children)) + ")"
-
-    expression = source(formula)
-    values = product((False, True), repeat=len(occurring))  # the last value varies fastest
-    count = eval(f"sum(1 for v in values if {expression})", {"values": values})
-    values = product((False, True), repeat=len(occurring))
-    lowest = eval(f"next((m for m, v in enumerate(values) if {expression}), None)", {"values": values})
-    return count, lowest
-
-
-def model_number(model):
-    return sum(int(model[index]) << rank for rank, index in enumerate(sorted(model)))
 
 
 @st.composite
@@ -1506,44 +1208,18 @@ def walks_of(monkeypatch, node) -> list[int]:
 
 
 class TestConstantAwareTables:
-    @settings(max_examples=200, deadline=None)
-    @given(formulas(max_vars=8, max_leaves=16))
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(formulas(), formulas(max_vars=8, max_leaves=16), many_variable_formulas()))
     def test_count_and_lowest_model_by_enumeration(self, formula):
-        count, lowest = enumerated(formula)
-        assert brute_force_count(formula) == count
-        assert brute_force_sat(formula) == (count > 0)
-        model = first_model(formula)
-        assert (model is None) == (lowest is None)
-        assert model is None or model_number(model) == lowest
-
-    @settings(max_examples=12, deadline=None)
-    @given(many_variable_formulas())
-    def test_many_variables_by_enumeration(self, formula):
-        count, lowest = enumerated(formula)
-        assert brute_force_count(formula) == count
-        assert brute_force_sat(formula) == (count > 0)
-        model = first_model(formula)
-        assert (model is None) == (lowest is None)
-        if model is not None:
-            assert set(model) == variables(formula)
-            assert model_number(model) == lowest
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.dictionaries(st.integers(1, 8), st.booleans()), max_size=40), st.data())
-    def test_store_holds_what_evaluate_says(self, models, data):
-        store = ModelStore()
-        for model in models:
-            store.add(model)
-        for query in data.draw(st.lists(formulas(max_vars=8, max_leaves=14), min_size=1, max_size=4)):
-            completed = [{i: model.get(i, False) for i in variables(query)} for model in models]
-            expected = any(recursive_evaluate(query, assignment) for assignment in completed)
-            assert store.holds(query) == expected
-            assert any(evaluate(query, assignment) for assignment in completed) == expected
+        expected = count(formula)
+        assert brute_force_count(formula) == expected
+        assert brute_force_sat(formula) == (expected > 0)
+        assert first_model(formula) == lowest_model(formula)
 
     def test_constant_columns_propagate(self):
         # x17..x20 are constant within a block, and the tree is full of them.
         formula = And(Or(Var(17), Not(Var(18)), Var(1)), Not(And(Var(19), Var(20))), Or(Var(2), Const(False)))
-        assert brute_force_count(formula) == enumerated(formula)[0]
+        assert brute_force_count(formula) == count(formula)
         assert evaluate(Or(Const(True), Var(1)), {}) is True  # settled before x1 is read
         assert evaluate(And(Const(True), Var(1), Const(False)), {1: True}) is False
 
@@ -1552,7 +1228,7 @@ class TestBlockInvariantSubtables:
     def test_an_invariant_subtree_is_walked_once_per_call(self, monkeypatch):
         low = generate_random(16, 34, seed=4)
         formula = And(Or(Var(17), Var(18), Not(Var(19)), Var(20)), low)
-        expected = dense_count(formula)
+        expected = count(formula)
         walks = walks_of(monkeypatch, low)
         assert brute_force_count(formula) == expected
         assert walks[0] == 1
@@ -1571,7 +1247,7 @@ class TestBlockInvariantSubtables:
     def test_wide_indices_cost_one_mask_walk(self, monkeypatch, offset):
         for seed in range(3):
             narrow = generate_random(20, 42, seed)
-            formula = rename_variables(narrow, {i: i + offset for i in range(1, 21)})
+            formula = renamed(narrow, {i: i + offset for i in range(1, 21)})
             nodes = sum(1 for _ in subtrees(formula))
             expected = brute_force_count(narrow)
             original = formula_module.variable_mask
@@ -1592,52 +1268,18 @@ class TestBlockInvariantSubtables:
                 monkeypatch.undo()
 
 
-def rebuilt(formula, images):
-    """The renamed copy built through the public constructors."""
-    match formula:
-        case Const():
-            return formula
-        case Var(index):
-            return Var(images[index])
-        case Not(child):
-            return Not(rebuilt(child, images))
-        case And(children) | Or(children):
-            return type(formula)(*(rebuilt(c, images) for c in children))
-
-
-def assert_flat(formula):
-    for node in subtrees(formula):
-        if type(node) in (And, Or):
-            assert all(type(child) is not type(node) for child in node.children)
-
-
 class TestOneStepCopies:
     @settings(max_examples=300, deadline=None)
-    @given(formulas(max_vars=8, max_leaves=16), st.integers(1, 40), st.randoms(use_true_random=False))
-    def test_copies_equal_constructor_built_ones(self, formula, start, rng):
-        occurring = sorted(variables(formula))
-        placed = place_variables(formula, start)
-        expected = rebuilt(formula, {index: start + rank for rank, index in enumerate(occurring)})
-        assert placed == expected and serialize(placed) == serialize(expected)
-        mapping = dict(zip(occurring, rng.sample(range(1, 3000), len(occurring))))
-        renamed = rename_variables(formula, mapping)
-        expected = rebuilt(formula, mapping)
-        assert renamed == expected and serialize(renamed) == serialize(expected)
-        for copy in (placed, renamed):
-            assert_flat(copy)
-            assert variable_mask(copy) == variable_mask(expected if copy is renamed else placed)
-
-    @settings(max_examples=300, deadline=None)
-    @given(formulas(max_vars=8, max_leaves=16), st.randoms(use_true_random=False))
-    def test_the_simplified_mark_is_kept(self, formula, rng):
-        occurring = sorted(variables(formula))
-        mapping = dict(zip(occurring, rng.sample(range(1, 3000), len(occurring))))
-        copy = rename_variables(formula, mapping)  # of an unsimplified source
+    @given(formulas(max_vars=8, max_leaves=16), st.integers(1, 40))
+    def test_the_simplified_mark_is_kept(self, formula, start):
+        copy = place_variables(formula, start)  # of an unsimplified source
         simple = simplify(formula)
-        simple_copy = rename_variables(simple, mapping)
+        simple_copy = place_variables(simple, start)
         assert simplify(simple_copy) is simple_copy  # marked, or a leaf
         assert (simplify(copy) is copy) == (simple is formula)
-        assert simplify(copy) == simple_copy  # the unsimplified copy still folds its constants
+        # The unsimplified copy still folds its constants.
+        in_order = {index: start + rank for rank, index in enumerate(sorted(reference_variables(formula)))}
+        assert simplify(copy) == renamed(simple, in_order)
 
     def test_marks_follow_the_source(self):
         source = parse("(x1 | !x2) & !(x3 & T)")

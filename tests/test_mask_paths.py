@@ -2,7 +2,6 @@
 variable sets and operand placement read off the cached mask, the one-pass
 truth table of a formula that fits one block, and the tally test."""
 
-from itertools import product
 from unittest import mock
 
 import pytest
@@ -22,7 +21,6 @@ from selfred.formula import (
     Var,
     brute_force_count,
     brute_force_sat,
-    evaluate,
     parse,
     place_variables,
     serialize,
@@ -37,6 +35,8 @@ from selfred.oracles import (
     simulated_tally_reduction,
 )
 from selfred.pruning import decide_via_sparse
+
+from references import count, is_flat, reference_variables, renamed
 
 
 def trees(indices: st.SearchStrategy[int], max_leaves: int = 10) -> st.SearchStrategy:
@@ -56,15 +56,8 @@ def trees(indices: st.SearchStrategy[int], max_leaves: int = 10) -> st.SearchStr
 WIDE_INDICES = st.one_of(st.integers(1, 12), st.integers(1000, 1100))
 
 
-def rename_variables(formula, mapping):
-    """The renamed copy that the package's public renaming built, through
-    the kernel's one-step copier: x_i becomes x_mapping[i] for every
-    occurring variable."""
-    return formula_module._map_vars(formula, {i: Var(mapping[i]) for i in variables(formula)})
-
-
 def in_order(formula, start: int) -> dict[int, int]:
-    return {v: start + i for i, v in enumerate(sorted(variables(formula)))}
+    return {v: start + i for i, v in enumerate(sorted(reference_variables(formula)))}
 
 
 class TestVariables:
@@ -76,18 +69,26 @@ class TestVariables:
 
 
 class TestPlaceVariables:
-    @settings(max_examples=50, deadline=None)
-    @given(trees(WIDE_INDICES), st.integers(1, 40))
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            trees(WIDE_INDICES), trees(st.integers(1, 6), max_leaves=8), trees(st.integers(1, 8), max_leaves=16)
+        ),
+        st.integers(1, 40),
+    )
     def test_matches_the_renaming_in_order(self, formula, start):
         placed = place_variables(formula, start)
-        renamed = rename_variables(formula, in_order(formula, start))
-        assert placed == renamed
-        assert serialize(placed) == serialize(renamed)
+        expected = renamed(formula, in_order(formula, start))
+        assert placed == expected
+        assert serialize(placed) == serialize(expected)
+        assert is_flat(placed)
+        k = len(reference_variables(formula))
+        assert variable_mask(placed) == ((1 << k) - 1) << start
 
     @settings(max_examples=30, deadline=None)
     @given(trees(st.integers(1, 12)), st.integers(1, 40))
     def test_a_formula_in_place_is_returned_itself(self, formula, start):
-        placed = rename_variables(formula, in_order(formula, start))
+        placed = renamed(formula, in_order(formula, start))
         assert place_variables(placed, start) is placed
 
     def test_examples(self):
@@ -109,16 +110,6 @@ class TestTallyString:
         assert is_tally_string("")
 
 
-def all_assignments(indices):
-    """Every assignment over the given variable indices."""
-    ordered = sorted(indices)
-    return (dict(zip(ordered, values)) for values in product((False, True), repeat=len(ordered)))
-
-
-def enumerated_count(formula) -> int:
-    return sum(evaluate(formula, a) for a in all_assignments(variables(formula)))
-
-
 # Block widths that put formulas of 0-8 variables on both sides of the
 # single-block edge, and the real width, where all of them fit one block.
 BLOCK_WIDTHS = (2, 4, formula_module._BLOCK_VARS)
@@ -129,7 +120,7 @@ class TestOnePassTruthTable:
     @settings(max_examples=30, deadline=None)
     @given(formula=trees(st.integers(1, 8), max_leaves=14))
     def test_matches_enumeration(self, width, formula):
-        expected = enumerated_count(formula)
+        expected = count(formula)
         with mock.patch.object(formula_module, "_BLOCK_VARS", width):
             assert brute_force_count(formula) == expected
             assert brute_force_sat(formula) == (expected > 0)
@@ -144,7 +135,7 @@ class TestOnePassTruthTable:
             cases.append(And(*(Var(i) for i in range(1, k + 1)), TRUE))
         for formula in cases:
             assert variable_mask(formula).bit_count() == k
-            expected = enumerated_count(formula)
+            expected = count(formula)
             with mock.patch.object(formula_module, "_BLOCK_VARS", width):
                 assert brute_force_count(formula) == expected
                 assert brute_force_sat(formula) == (expected > 0)

@@ -19,12 +19,10 @@ from selfred.formula import (
     _most_frequent_variable,
     brute_force_count,
     brute_force_sat,
-    evaluate,
     parse,
     self_reduce,
     serialize,
     variable_mask,
-    variables,
 )
 from selfred.generate import generate_corpus, generate_random
 from selfred.oracles import (
@@ -48,6 +46,8 @@ from selfred.oracles import (
 )
 from selfred.pruning import decide_via_sparse, decide_via_tally
 from selfred.selector import decide_via_selector
+
+from references import evaluated, reference_variables
 
 
 @pytest.fixture(scope="module")
@@ -535,7 +535,7 @@ def components_by_search(children) -> list[list[int]]:
     order and the groups in the order of their first conjunct."""
     holders = {}  # variable -> positions of the conjuncts that hold it
     for position, child in enumerate(children):
-        for index in variables(child):
+        for index in reference_variables(child):
             holders.setdefault(index, []).append(position)
     seen, groups = set(), []
     for start in range(len(children)):
@@ -546,7 +546,7 @@ def components_by_search(children) -> list[list[int]]:
         while frontier:
             position = frontier.pop()
             group.append(position)
-            for index in variables(children[position]):
+            for index in reference_variables(children[position]):
                 for other in holders.pop(index, ()):
                     if other not in seen:
                         seen.add(other)
@@ -581,9 +581,44 @@ def most_frequent_by_walk(formula) -> int:
     return max(counts, key=lambda index: (counts[index], index))
 
 
+@st.composite
+def conjunct_lists(draw):
+    """Conjunct lists over three sharing patterns: no variable shared, each
+    linking variable held by exactly two conjuncts, or drawn at random;
+    with literals repeated (x1 & x1), constants, and indices raised by 0
+    or 3000."""
+    pattern = draw(st.sampled_from(["disjoint", "pairs", "random"]))
+    offset = draw(st.sampled_from([0, 3000]))
+    count = draw(st.integers(1, 10))
+    rng = draw(st.randoms(use_true_random=False))
+    if pattern == "disjoint":
+        held = [range(8 * i + 1, 8 * i + 2 + rng.randrange(3)) for i in range(count)]
+    elif pattern == "pairs":
+        # Conjunct i holds a variable of its own and the links to its neighbours.
+        order = rng.sample(range(count), count)
+        held = [[100 + i] + [v for v in (i, i + 1) if 0 < v < count] for i in order]
+    else:
+        held = [rng.choices(range(1, 13), k=rng.randint(1, 3)) for _ in range(count)]
+    constants = [Const(True), Const(False)]
+    children = []
+    for indices in held:
+        leaves = [Var(i + offset) if rng.random() < 0.6 else Not(Var(i + offset)) for i in indices]
+        if rng.random() < 0.3:
+            leaves.append(rng.choice(constants))
+        children.append(leaves[0] if len(leaves) == 1 else rng.choice([And, Or])(*leaves))
+    for _ in range(rng.randrange(4)):  # the same literal again, or an equal one
+        repeated = rng.choice(children)
+        if type(repeated) in (Var, Not):
+            again = repeated if rng.random() < 0.5 else parse(serialize(repeated))
+            children.insert(rng.randrange(len(children) + 1), again)
+    if rng.random() < 0.3:
+        children.insert(rng.randrange(len(children) + 1), rng.choice(constants))
+    return children
+
+
 class TestComponentSplit:
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(bodies(indices=tuple(range(1, 10))), max_size=12))
+    @given(st.one_of(st.lists(bodies(indices=tuple(range(1, 10))), max_size=12), conjunct_lists()))
     def test_groups_in_first_conjunct_order(self, children):
         check_components(children)
 
@@ -636,74 +671,7 @@ class TestUnionFindSplit:
         assert time.perf_counter() - start < 1
 
 
-def groups_by_variable_union_find(children) -> list[list]:
-    """Reference grouping: a union-find over variables, joining the
-    variables of each conjunct; a conjunct belongs to the group of its
-    variables, and one with none is a group of its own."""
-    parent = {}
-
-    def find(index):
-        while parent[index] != index:
-            index = parent[index]
-        return index
-
-    for child in children:
-        held = sorted(variables(child))
-        for index in held:
-            parent.setdefault(index, index)
-        for index in held[1:]:
-            parent[find(index)] = find(held[0])
-    groups = {}  # by representative, in first-conjunct order
-    for position, child in enumerate(children):
-        held = variables(child)
-        groups.setdefault(find(min(held)) if held else ("alone", position), []).append(child)
-    return list(groups.values())
-
-
-@st.composite
-def conjunct_lists(draw):
-    """Conjunct lists over three sharing patterns: no variable shared, each
-    linking variable held by exactly two conjuncts, or drawn at random;
-    with literals repeated (x1 & x1), constants, and indices raised by 0
-    or 3000."""
-    pattern = draw(st.sampled_from(["disjoint", "pairs", "random"]))
-    offset = draw(st.sampled_from([0, 3000]))
-    count = draw(st.integers(1, 10))
-    rng = draw(st.randoms(use_true_random=False))
-    if pattern == "disjoint":
-        held = [range(8 * i + 1, 8 * i + 2 + rng.randrange(3)) for i in range(count)]
-    elif pattern == "pairs":
-        # Conjunct i holds a variable of its own and the links to its neighbours.
-        order = rng.sample(range(count), count)
-        held = [[100 + i] + [v for v in (i, i + 1) if 0 < v < count] for i in order]
-    else:
-        held = [rng.choices(range(1, 13), k=rng.randint(1, 3)) for _ in range(count)]
-    constants = [Const(True), Const(False)]
-    children = []
-    for indices in held:
-        leaves = [Var(i + offset) if rng.random() < 0.6 else Not(Var(i + offset)) for i in indices]
-        if rng.random() < 0.3:
-            leaves.append(rng.choice(constants))
-        children.append(leaves[0] if len(leaves) == 1 else rng.choice([And, Or])(*leaves))
-    for _ in range(rng.randrange(4)):  # the same literal again, or an equal one
-        repeated = rng.choice(children)
-        if type(repeated) in (Var, Not):
-            again = repeated if rng.random() < 0.5 else parse(serialize(repeated))
-            children.insert(rng.randrange(len(children) + 1), again)
-    if rng.random() < 0.3:
-        children.insert(rng.randrange(len(children) + 1), rng.choice(constants))
-    return children
-
-
 class TestSharedVariableGroups:
-    @settings(max_examples=200, deadline=None)
-    @given(conjunct_lists())
-    def test_matches_a_union_find_over_variables(self, children):
-        groups = oracles_module._disjoint_groups(tuple(children))
-        expected = groups_by_variable_union_find(children)
-        assert [list(map(id, group)) for group in groups] == [list(map(id, group)) for group in expected]
-        check_components(children)
-
     def test_no_shared_variable_gives_one_group_per_conjunct(self):
         children = (Var(1), Or(Var(2), Not(Var(3))), Const(True), Not(Var(5000)))
         assert oracles_module._disjoint_groups(children) == [[child] for child in children]
@@ -738,11 +706,6 @@ def refuse_exact_counts(monkeypatch):
     monkeypatch.setattr(oracles_module, "exact_model_count", refused)
 
 
-def stop_at_model(formula):
-    """1 when the model search finds a model, else 0."""
-    return int(oracles_module.find_model(formula) is not None)
-
-
 # Disjunctions whose children share models, and conjunctions of several
 # variable-disjoint groups.
 OVERLAPPING_OR = st.lists(bodies(indices=(1, 2, 3, 4)), min_size=2, max_size=4).map(lambda cs: Or(*cs))
@@ -753,53 +716,13 @@ GROUPED_AND = st.lists(
 ).map(lambda cs: And(*cs))
 
 
-class TestStopAtModel:
-    @settings(max_examples=300, deadline=None)
-    @given(st.one_of(EXCLUSIVE, OVERLAPPING_OR, GROUPED_AND, bodies()))
-    def test_positive_exactly_when_satisfiable_on_every_rule(self, formula):
-        expected = brute_force_count(formula) > 0
-        assert (stop_at_model(formula) > 0) == expected
-        with structural_only():
-            assert (stop_at_model(formula) > 0) == expected
-
-    def test_positive_exactly_when_satisfiable_up_to_24_variables(self, corpus):
-        formulas = list(corpus)
-        for n in (19, 20, 22, 24):
-            for seed in range(4):
-                big = generate_random(n, 2 * n + 2, seed)
-                formulas += [big, And(big, Not(big)), Or(And(big, Var(n + 1)), And(big, Not(Var(n + 1))))]
-        for formula in formulas:
-            assert (stop_at_model(formula) > 0) == (brute_force_count(formula, limit=25) > 0)
-
-    def test_positive_exactly_when_the_exact_count_is_above_24_variables(self):
-        for n in (25, 30, 35, 40):
-            for seed in range(3):
-                formula = generate_random(n, 2 * n + 2, seed)
-                queries = [formula, And(formula, Not(formula))]
-                true_child, false_child, _ = self_reduce(formula)
-                if not isinstance(true_child, Const) and not isinstance(false_child, Const):
-                    queries.append(combine(formula, true_child, false_child).combined)
-                for query in queries:
-                    assert (stop_at_model(query) > 0) == (exact_model_count(query) > 0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(2, 7), st.integers(0, 10**6))
-    def test_combined_formulas(self, n, seed):
-        formula = generate_random(n, 2 * n + 2, seed)
-        true_child, false_child, _ = self_reduce(formula)
-        assume(not isinstance(true_child, Const) and not isinstance(false_child, Const))
-        combined = combine(formula, true_child, false_child).combined
-        expected = brute_force_count(combined, limit=variable_mask(combined).bit_count()) > 0
-        assert (stop_at_model(combined) > 0) == expected
-        with structural_only():
-            assert (stop_at_model(combined) > 0) == expected
-
+class TestDecisionOraclesSearchForModels:
     def test_tables_stop_at_the_first_model(self, monkeypatch):
         asked = []
         monkeypatch.setattr(oracles_module, "brute_force_count", lambda *a, **k: asked.append(a))
-        assert stop_at_model(generate_random(12, 26, 1)) > 0
+        assert find_model(generate_random(12, 26, 1)) is not None
         with structural_only():
-            assert stop_at_model(parse("x1 & x2 | x1 & x3 | !x2")) > 0
+            assert find_model(parse("x1 & x2 | x1 & x3 | !x2")) is not None
         assert asked == []
 
     def test_decision_oracles_never_count_exactly(self, monkeypatch, corpus):
@@ -868,10 +791,10 @@ def check_model(formula, model, satisfiable):
     leaves out all False, or all True."""
     assert (model is not None) == satisfiable
     if model is not None:
-        occurring = variables(formula)
+        occurring = reference_variables(formula)
         assert set(model) <= occurring
         for rest in (False, True):
-            assert evaluate(formula, {index: model.get(index, rest) for index in occurring})
+            assert evaluated(formula, {index: model.get(index, rest) for index in occurring})
 
 
 @st.composite
@@ -889,12 +812,15 @@ class TestFindModel:
     def test_found_exactly_when_satisfiable_up_to_24_variables(self, formula):
         check_model(formula, find_model(formula), brute_force_count(formula, limit=24) > 0)
 
-    def test_found_exactly_when_satisfiable_above_the_table_cutoff(self):
-        for n in (19, 21, 24):
-            for seed in range(3):
+    def test_found_exactly_when_satisfiable_above_the_table_cutoff(self, corpus):
+        formulas = list(corpus)
+        for n in (19, 20, 21, 22, 24):
+            for seed in range(4):
                 big = generate_random(n, 2 * n + 2, seed)
-                for formula in (big, And(big, Not(big)), Not(big)):
-                    check_model(formula, find_model(formula), brute_force_count(formula, limit=24) > 0)
+                x = Var(n + 1)
+                formulas += [big, And(big, Not(big)), Not(big), Or(And(big, x), And(big, Not(x)))]
+        for formula in formulas:
+            check_model(formula, find_model(formula), brute_force_count(formula, limit=25) > 0)
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(EXCLUSIVE, OVERLAPPING_OR, GROUPED_AND, bodies(), random_formulas(8)))

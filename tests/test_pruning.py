@@ -441,3 +441,25 @@ class TestEncodingInvariant:
         monkeypatch.setattr(selfred.pruning, "self_reduce", lengthening)
         with pytest.raises(EncodingInvariantBroken, match=re.escape(repr(self.LONG))):
             decide(parse("x1 & x2 | x3"))
+
+    @pytest.mark.parametrize(
+        "decide",
+        [
+            lambda f: decide_via_tally(f, simulated_tally_reduction("canonical")),
+            lambda f: decide_via_sparse(f, simulated_sparse_coreduction("singleton")),
+        ],
+        ids=["tally", "sparse"],
+    )
+    def test_child_as_long_as_the_input_is_kept(self, monkeypatch, decide):
+        # Only a child longer than the input breaks the invariant: one of the
+        # same length is walked on.
+        root = "x1 & x2 | x3"
+
+        def same_length(formula, *memo):
+            true_child, false_child, index = self_reduce(formula, *memo)
+            if serialize(formula) == root:
+                return parse("x4 & x5 | x6"), false_child, index
+            return true_child, false_child, index
+
+        monkeypatch.setattr(selfred.pruning, "self_reduce", same_length)
+        assert decide(parse(root))[0] is True
