@@ -30,10 +30,9 @@ import os
 import stat
 import sys
 import time
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable, NamedTuple, TextIO
 
 from .counting import count_via_enumerator, demonstrate_naive_failure
 from .errors import FormulaSyntaxError, InvalidParams, SelfReducibilityError
@@ -76,8 +75,7 @@ SUMMARY_COLUMNS = [
 ]
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     algorithm: str  # selector | tally | sparse | enum_count
     formulas: list[Formula]
     oracle_style: str
@@ -88,8 +86,7 @@ class ExperimentConfig:
     summary_path: str | None = None
 
 
-@dataclass
-class RunRecord:
+class RunRecord(NamedTuple):
     formula_id: int
     formula: str
     vars: int
@@ -174,8 +171,7 @@ def _count_result(raw: tuple, head: str, formula_id: int) -> tuple:
     return count, oracle_calls, None, lines
 
 
-@dataclass(frozen=True)
-class Algorithm:
+class Algorithm(NamedTuple):
     styles: tuple[str, ...]  # the default style first
     make_oracle: Callable[[ExperimentConfig], object]
     # (config, oracle, formula) -> what the decider or the counter returned

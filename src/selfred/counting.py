@@ -27,7 +27,6 @@ back up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConstantOperand, InvalidParams, OracleContractViolation
@@ -48,8 +47,7 @@ from .formula import (
 from .oracles import TwoEnumeratorOracle, honest_two_enumerator
 
 
-@dataclass(frozen=True)
-class CombineRecipe:
+class CombineRecipe(NamedTuple):
     renamed_left: Formula
     renamed_right: Formula
     left_var_count: int
@@ -66,8 +64,7 @@ class DecodedCounts(NamedTuple):
     right_in_range: bool
 
 
-@dataclass(frozen=True)
-class GuessTriple:
+class GuessTriple(NamedTuple):
     """Candidate counts for a formula and its two children, child candidates
     lifted to the root's residual slots."""
 
@@ -80,8 +77,7 @@ class GuessTriple:
         return self.a == self.b + self.c
 
 
-@dataclass
-class Linkage:
+class Linkage(NamedTuple):
     child: Formula
     mapping: dict[int, int]  # child count candidate -> root count candidate
     depth: int
@@ -234,8 +230,7 @@ def _count(formula: Formula, oracle: TwoEnumeratorOracle, chain: list[Linkage], 
     return mapping[resolved_lifted]
 
 
-@dataclass(frozen=True)
-class NaiveFailureWitness:
+class NaiveFailureWitness(NamedTuple):
     formula: Formula
     root_count: int
     left_count: int
@@ -243,8 +238,7 @@ class NaiveFailureWitness:
     guess_sets: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class NaiveFailureReport:
+class NaiveFailureReport(NamedTuple):
     """Two formulas with identical per-node guess sets but different counts.
 
     Any procedure that sees only the three guess pairs for a formula and its

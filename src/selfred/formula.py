@@ -548,6 +548,7 @@ def split(formula: Formula, index: int, memo: dict | None = None) -> tuple[Formu
 
 def self_reduce(formula: Formula, memo: dict | None = None) -> tuple[Formula, Formula, int]:
     """``split`` on the least occurring variable, through ``memo`` if given.
+    A node already marked simplified goes to the split walk as it is.
 
     Returns (F with the variable True, F with it False, the variable); the
     input is satisfiable iff at least one of the two children is.
@@ -555,7 +556,10 @@ def self_reduce(formula: Formula, memo: dict | None = None) -> tuple[Formula, Fo
     mask = variable_mask(formula)
     if not mask:
         raise NoVariables("cannot self-reduce a constant formula")
-    least = (mask & -mask).bit_length() - 1
+    bit = mask & -mask
+    least = bit.bit_length() - 1
+    if type(formula) is not Var and formula._simple:
+        return (*_split(formula, least, bit, {} if memo is None else memo.setdefault(least, {})), least)
     return (*split(formula, least, memo), least)
 
 

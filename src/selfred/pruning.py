@@ -26,8 +26,7 @@ verdict is whether any surviving leaf is True.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import EncodingInvariantBroken, InvalidBound, InvalidParams
 from .formula import (
@@ -53,15 +52,13 @@ OUTCOME_EARLY_SAT = "early_sat"
 SPARSE_MODES = ("early_accept", "capped_continue")
 
 
-@dataclass(frozen=True)
-class PruneEvent:
+class PruneEvent(NamedTuple):
     kind: str
     discarded: str
     surviving_image: str | None = None
 
 
-@dataclass
-class TreeLevel:
+class TreeLevel(NamedTuple):
     """Post-prune frontier at one depth: (formula, image) pairs."""
 
     depth: int
@@ -73,15 +70,14 @@ class TreeLevel:
         return [image for _, image in self.nodes]
 
 
-@dataclass
-class LevelStats:
+class LevelStats(NamedTuple):
     widths: list[tuple[int, int]]  # (pre_prune, post_prune) per level
     oracle_calls: int
     outcome: str
     levels: list[TreeLevel]
     threshold: int | None = None  # sparse: q(r(m))
     crossed_at: int | None = None  # sparse: first level reaching 1 + threshold
-    capped_levels: list[int] = field(default_factory=list)
+    capped_levels: Sequence[int] = ()
 
     @property
     def max_width(self) -> int:
@@ -184,15 +180,16 @@ def _walk_levels(
     while True:
         frontier, events = _prune(children, admit)
         widths.append((len(children), len(frontier)))
-        levels.append(TreeLevel(depth, frontier, events))
         if budget is not None and len(frontier) > budget:
             if crossed_at is None:
                 crossed_at = depth
-            if early_accept:
-                verdict, outcome = True, OUTCOME_EARLY_SAT
-                break
-            frontier = levels[-1].nodes = frontier[: budget + 1]
-            capped_levels.append(depth)
+            if not early_accept:
+                frontier = frontier[: budget + 1]
+                capped_levels.append(depth)
+        levels.append(TreeLevel(depth, frontier, events))
+        if early_accept and crossed_at is not None:
+            verdict, outcome = True, OUTCOME_EARLY_SAT
+            break
         for node, _ in frontier:
             if type(node) is not Const:
                 break

@@ -11,21 +11,19 @@ True verdict's branch choices form a satisfying assignment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .formula import Const, Formula, serialize, simplify, split, variable_mask, variables
+from .formula import Const, Formula, serialize, simplify, split, variable_mask
 from .oracles import SelectorOracle
 
 
-@dataclass(frozen=True)
-class PathStep:
+class PathStep(NamedTuple):
     split_var: int
     chosen_branch: bool
     chosen_formula: str
 
 
-@dataclass(frozen=True)
-class PathTrace:
+class PathTrace(NamedTuple):
     steps: tuple[PathStep, ...]
     oracle_calls: int
 
@@ -44,13 +42,20 @@ def decide_via_selector(
 
     steps: list[PathStep] = []
     calls_before = selector.call_counter
-    for split_var in sorted(variables(current)):  # fixed walk order over the input's variables
-        if variable_mask(current) >> split_var & 1:
+    # The input's variables, walked lowest first, and those still in current.
+    pending = occurring = variable_mask(current)
+    while pending:
+        bit = pending & -pending
+        pending ^= bit
+        split_var = bit.bit_length() - 1
+        if occurring & bit:
             true_child, false_child = split(current, split_var)
         else:
             true_child = false_child = current
         current = selector.choose(true_child, false_child)
         steps.append(PathStep(split_var, current is true_child, serialize(current)))
+        if pending and occurring & bit:  # current is a child, with variables left to walk
+            occurring = variable_mask(current)
 
     assert type(current) is Const
     trace = PathTrace(steps=tuple(steps), oracle_calls=selector.call_counter - calls_before)

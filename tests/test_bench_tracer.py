@@ -95,7 +95,7 @@ def test_uninstall_restores_every_patched_namespace(traced):
 # kernel spans (calls from a consumer module into ``selfred.formula``, each
 # wrapped and timed), and a change that added spans failed that run.  A
 # change that must add spans raises this bound and says so.
-KERNEL_SPANS_BOUND = 928
+KERNEL_SPANS_BOUND = 914
 
 
 def test_kernel_spans_stay_within_bound(traced):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import stat
@@ -391,7 +390,7 @@ def watch_solver(monkeypatch, algorithm, fail_at=0, error=None):
             raise error
         return entry.solve(config, oracle, formula)
 
-    monkeypatch.setitem(cli.ALGORITHMS, algorithm, dataclasses.replace(entry, solve=solve))
+    monkeypatch.setitem(cli.ALGORITHMS, algorithm, entry._replace(solve=solve))
     return seen
 
 
@@ -530,7 +529,7 @@ class TestVerificationLimit:
             os.environ[BRUTE_FORCE_LIMIT_ENV] = "1"
             return entry.reference(formula, limit)
 
-        monkeypatch.setitem(cli.ALGORITHMS, "selector", dataclasses.replace(entry, reference=reference))
+        monkeypatch.setitem(cli.ALGORITHMS, "selector", entry._replace(reference=reference))
         formulas = [generate_random(4, 10, seed) for seed in range(3)]
         records = run(ExperimentConfig(algorithm="selector", formulas=formulas, oracle_style="honest"))
         assert limits == [5, 5, 5]

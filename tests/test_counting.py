@@ -1,5 +1,4 @@
 import hashlib
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -244,7 +243,7 @@ class TestThreeOperandLayout:
         # rename that whole combination again, up past the formula's range.
         old_inner = combine(left_child, right_child)
         old_outer = combine(formula, old_inner.combined)
-        assert replace(recipe, inner=None) == old_outer
+        assert recipe._replace(inner=None) == old_outer
         assert serialize(recipe.combined) == serialize(old_outer.combined)
 
         n = len(variables(formula))
@@ -252,7 +251,7 @@ class TestThreeOperandLayout:
         assert recipe.inner.renamed_left == renamed(old_inner.renamed_left, shift)
         assert recipe.inner.renamed_right == renamed(old_inner.renamed_right, shift)
         assert recipe.inner.fresh_vars == tuple(v + n for v in old_inner.fresh_vars)
-        old = replace(old_outer, inner=old_inner)
+        old = old_outer._replace(inner=old_inner)
         count = exact_model_count(recipe.combined)
         assert decode_all(recipe, count) == decode_all(old, count)
 

@@ -1,6 +1,8 @@
 import ast
+import dataclasses
 import importlib
 import inspect
+import pkgutil
 from pathlib import Path
 from types import ModuleType
 
@@ -20,7 +22,7 @@ def test_all_lists_every_public_name_once():
 # The modules that call the kernel, and the kernel functions exported for
 # library users alone.
 CONSUMERS = ("selector", "pruning", "counting", "oracles", "cli", "generate")
-USER_API = {"evaluate"}
+USER_API = {"evaluate", "variables"}
 
 
 def test_every_exported_kernel_function_has_a_caller():
@@ -31,6 +33,26 @@ def test_every_exported_kernel_function_has_a_caller():
     assert kernel
     uncalled = [f.__name__ for f in kernel if not any(f is value for value in bound)]
     assert set(uncalled) <= USER_API
+
+
+# The classes kept as dataclasses: the five formula nodes and the bound that
+# validates its coefficients when built.  Result records are named tuples.
+DATACLASSES = {"Const", "Var", "Not", "And", "Or", "PolynomialBound"}
+
+
+def test_only_the_listed_classes_are_dataclasses():
+    # Every class the package exports or any of its modules defines, so the
+    # CLI's records count too.
+    classes = [getattr(selfred, name) for name in selfred.__all__]
+    for info in pkgutil.iter_modules(selfred.__path__):
+        module = importlib.import_module(f"selfred.{info.name}")
+        classes += [value for value in vars(module).values() if inspect.isclass(value)]
+    found = {
+        cls.__name__
+        for cls in classes
+        if cls.__module__.startswith("selfred.") and dataclasses.is_dataclass(cls)
+    }
+    assert found == DATACLASSES
 
 
 def test_references_take_only_the_node_constructors():

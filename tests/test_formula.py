@@ -1237,6 +1237,56 @@ class TestBlockInvariantSubtables:
         first_model(formula)
         assert walks[0] == 3
 
+    def test_each_block_walks_only_the_reduced_tree(self, monkeypatch):
+        # x1..x16 span a block and x17..x21 are constant in each of its 32
+        # blocks.  Each low part is an Or under an And, so no constructor
+        # flattens it away, and x3 is a low variable beside high ones.
+        def low(a):
+            return Or(And(Var(a), Not(Var(a + 1))), And(Var(a + 2), Var(a + 3)))
+
+        x3, lows = Var(3), [low(a) for a in (1, 5, 9, 13)]
+        kept = Not(Or(Var(17), Var(20)))  # holds high variables only
+        formula = And(
+            Or(x3, Var(17), Var(18)),
+            Not(And(Var(19), lows[0])),
+            Or(And(Var(20), lows[1]), And(Var(21), lows[2])),
+            kept,
+            lows[3],
+        )
+        expected = count(formula)
+        walked, depth = [], [0]  # the formula of each outermost walk
+        settled = set()  # every node _block_variant visits, by id
+        walk, variant = formula_module._truth_table, formula_module._block_variant
+
+        def counted_walk(node, masks, full):
+            if not depth[0]:
+                walked.append(node)
+            depth[0] += 1
+            try:
+                return walk(node, masks, full)
+            finally:
+                depth[0] -= 1
+
+        def counted_variant(node, *args):
+            settled.add(id(node))
+            return variant(node, *args)
+
+        monkeypatch.setattr(formula_module, "_truth_table", counted_walk)
+        monkeypatch.setattr(formula_module, "_block_variant", counted_variant)
+        assert brute_force_count(formula) == expected
+        # The stand-ins' tables first, one walk each of the gathered subtree
+        # itself; then one walk per block, of the one reduced tree.
+        assert [id(node) for node in walked[:5]] == [id(x3), *map(id, lows)]
+        reduced = walked[5]
+        assert len(walked) == 5 + 32 and all(node is reduced for node in walked[5:])
+        assert serialize(reduced) == (
+            "x26 & (x22 | x17 | x18) & !(x23 & x19) & (x24 & x20 | x25 & x21) & !(x17 | x20)"
+        )
+        assert reduced.children[4] is kept
+        # A cached mask settles each low part at its root.
+        inner = {id(node) for part in lows for node in subtrees(part) if node is not part}
+        assert all(id(part) in settled for part in lows) and not settled & inner
+
     def test_single_block_tables_take_no_part(self, monkeypatch):
         formula = And(Or(Var(15), Var(16)), generate_random(14, 30, seed=4))
         walks = walks_of(monkeypatch, formula)

@@ -9,7 +9,6 @@ the reference formats exactly what the decider or the counter returned.
 """
 
 import csv
-import dataclasses
 import io
 import json
 import tempfile
@@ -57,7 +56,7 @@ def level_rows(raw):
             "pre_prune_width": pre,
             "post_prune_width": post,
             "images": level.images,
-            "prune_events": [vars(event) for event in level.prune_events],
+            "prune_events": [event._asdict() for event in level.prune_events],
         }
         if stats.threshold is not None:  # sparse
             row["threshold"] = stats.threshold
@@ -117,14 +116,14 @@ def run_against_reference(config, make_oracle=None):
         raws.append(entry.solve(config, oracle, formula))
         return raws[-1]
 
-    replacement = dataclasses.replace(entry, solve=solve)
+    replacement = entry._replace(solve=solve)
     if make_oracle is not None:
-        replacement = dataclasses.replace(replacement, make_oracle=make_oracle)
+        replacement = replacement._replace(make_oracle=make_oracle)
     with tempfile.TemporaryDirectory() as directory, mock.patch.dict(
         cli.ALGORITHMS, {config.algorithm: replacement}
     ):
         trace, summary = Path(directory, "t.jsonl"), Path(directory, "s.csv")
-        config = dataclasses.replace(config, trace_path=str(trace), summary_path=str(summary))
+        config = config._replace(trace_path=str(trace), summary_path=str(summary))
         records = cli.run(config)
         lines = trace.read_bytes().decode("ascii").splitlines(keepends=True)
         summary_bytes = summary.read_bytes()

@@ -60,7 +60,8 @@ FIRST = ["test_formula.py", "test_mask_paths.py", "test_oracles.py", "test_count
 LAST = ["test_acceptance.py"]
 
 # One-line mutants, each with the test that must fail on it: the text to
-# replace (once in the file) and its replacement.
+# replace (once in the file, with the next line where the line alone is not)
+# and its replacement.
 NAMED = [
     (
         "src/selfred/formula.py",
@@ -73,6 +74,18 @@ NAMED = [
         "if len(text) > root_length:",
         "if len(text) >= root_length:",
         "tests/test_pruning.py::TestEncodingInvariant::test_child_as_long_as_the_input_is_kept",
+    ),
+    (
+        "src/selfred/oracles.py",
+        "self.call_counter += 1\n        image = self._query(formula)",
+        "image = self._query(formula)",
+        "tests/test_oracles.py::TestOneWrappedMethodPerQuery::test_wrapper_counts_equal_call_counters",
+    ),
+    (
+        "src/selfred/oracles.py",
+        "if not isinstance(image, str):",
+        "if False:",
+        "tests/test_pruning.py::TestImageContract::test_sparse_image_must_be_a_string",
     ),
 ]
 
