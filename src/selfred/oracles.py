@@ -87,10 +87,6 @@ class _CountedOracle:
         self._query = query
         self.call_counter = 0
 
-    def _ask(self, *args):
-        self.call_counter += 1
-        return self._query(*args)
-
 
 class SelectorOracle(_CountedOracle):
     """Picks one of its two arguments, a satisfiable one whenever either
@@ -101,7 +97,8 @@ class SelectorOracle(_CountedOracle):
     branch by identity."""
 
     def choose(self, a: Formula, b: Formula) -> Formula:
-        first = self._ask(a, b)
+        self.call_counter += 1
+        first = self._query(a, b)
         if type(first) is not bool:
             kind = type(first).__name__
             raise OracleContractViolation(f"selector answered a value of type {kind}, not bool")
@@ -131,6 +128,9 @@ class SparseCoReductionOracle(_CountedOracle):
         q: PolynomialBound,
         r: PolynomialBound,
     ) -> None:
+        for bound in (q, r):
+            if type(bound) is not PolynomialBound:
+                raise InvalidBound(f"bound must be a PolynomialBound, got {bound!r}")
         super().__init__(map_fn)
         self.q = q
         self.r = r
@@ -145,7 +145,8 @@ class TwoEnumeratorOracle(_CountedOracle):
     the true count is always in the list."""
 
     def enumerate(self, formula: Formula) -> list[int]:
-        values = self._ask(formula)
+        self.call_counter += 1
+        values = self._query(formula)
         if not isinstance(values, list):
             kind = type(values).__name__
             raise OracleContractViolation(f"2-enumerator answered a value of type {kind}, not list")

@@ -27,6 +27,8 @@ from selfred.formula import (
 )
 from selfred.generate import generate_corpus
 from selfred.oracles import (
+    SPARSE_STYLES,
+    TALLY_STYLES,
     adversarial_selector,
     honest_selector,
     honest_two_enumerator,
@@ -113,7 +115,7 @@ def test_criterion_2_selector(full_corpus, reference_sat):
 def test_criterion_3_tally(full_corpus, reference_sat):
     start = time.perf_counter()
     violations = []
-    for style in ("canonical", "collision_rich", "spread"):
+    for style in TALLY_STYLES:
         oracle = simulated_tally_reduction(style)
         for formula, ref in zip(full_corpus, reference_sat):
             verdict, stats = decide_via_tally(formula, oracle)
@@ -130,7 +132,7 @@ def test_criterion_3_tally(full_corpus, reference_sat):
                     break
     report(
         3,
-        "tally decider: all three styles agree with brute force, width "
+        "tally decider: every style agrees with brute force, width "
         "bounded by 1 + longest tally image",
         violations,
         time.perf_counter() - start,
@@ -141,7 +143,7 @@ def test_criterion_3_tally(full_corpus, reference_sat):
 def test_criterion_4_sparse(full_corpus, reference_sat):
     start = time.perf_counter()
     violations = []
-    for style in ("singleton", "scatter"):
+    for style in SPARSE_STYLES:
         oracle = simulated_sparse_coreduction(style, seed=4)
         for formula, ref in zip(full_corpus, reference_sat):
             early_verdict, early_stats = decide_via_sparse(formula, oracle, "early_accept")
@@ -159,7 +161,7 @@ def test_criterion_4_sparse(full_corpus, reference_sat):
                     violations.append((style, "width", serialize(formula)))
     report(
         4,
-        "sparse decider: both styles and modes agree with brute force, early "
+        "sparse decider: every style in both modes agrees with brute force, early "
         "accepts are sound, widths within q(r(m)) when uncrossed",
         violations,
         time.perf_counter() - start,

@@ -14,6 +14,7 @@ from selfred.cli import ExperimentConfig, main, run
 from selfred.errors import InvalidParams
 from selfred.formula import BRUTE_FORCE_LIMIT_ENV, MAX_NESTING, And, Not, Or, parse, serialize
 from selfred.generate import generate_corpus, generate_random
+from selfred.pruning import SPARSE_MODES
 
 
 def read(path):
@@ -210,7 +211,7 @@ class TestCommandLine:
             assert variables(parse(line)) == frozenset(range(1, 11))
 
     def test_mode_flag(self, tmp_path):
-        for mode in ("early_accept", "capped_continue"):
+        for mode in SPARSE_MODES:
             assert main(
                 [
                     "decide", "sparse",

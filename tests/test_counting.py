@@ -11,7 +11,6 @@ from selfred.formula import (
     Const,
     Not,
     Or,
-    Var,
     brute_force_count,
     parse,
     self_reduce,
@@ -21,7 +20,12 @@ from selfred.formula import (
     variables,
 )
 from selfred.generate import generate_corpus, generate_random
-from selfred.oracles import TwoEnumeratorOracle, exact_model_count, honest_two_enumerator
+from selfred.oracles import (
+    ENUMERATOR_STYLES,
+    TwoEnumeratorOracle,
+    exact_model_count,
+    honest_two_enumerator,
+)
 from selfred.counting import (
     GuessTriple,
     combine,
@@ -33,6 +37,7 @@ from selfred.counting import (
 )
 
 from references import renamed
+from strategies import SMALL_FORMULAS
 
 
 @pytest.fixture(scope="module")
@@ -172,20 +177,6 @@ class TestCombineThreeOperands:
         assert checked >= 30
 
 
-SMALL_FORMULAS = st.recursive(
-    st.one_of(
-        st.builds(Var, st.integers(1, 4)),
-        st.sampled_from([Const(True), Const(False)]),
-    ),
-    lambda inner: st.one_of(
-        st.builds(Not, inner),
-        st.lists(inner, min_size=2, max_size=3).map(lambda cs: And(*cs)),
-        st.lists(inner, min_size=2, max_size=3).map(lambda cs: Or(*cs)),
-    ),
-    max_leaves=8,
-)
-
-
 @st.composite
 def operand_triples(draw):
     """Three formulas over x1..x4 moved onto four indices out of 1..12, so
@@ -309,7 +300,7 @@ class TestLinkage:
 
 class TestCountViaEnumerator:
     def test_disjunction(self):
-        for style in ("exact_plus_offset", "woeginger"):
+        for style in ENUMERATOR_STYLES:
             for seed in (0, 7):
                 count, _ = count_via_enumerator(
                     parse("x1 | x2"), honest_two_enumerator(style, seed=seed)
@@ -467,7 +458,8 @@ class TestCountViaEnumerator:
         # that makes both query shapes: the formula with its one open child,
         # and the formula with both children.  Oracles that digest the query
         # text (exact_plus_offset) answer by those bytes, so they must not
-        # change when the query's construction is refactored.
+        # change when the query's construction is refactored.  The digest
+        # covers these two styles' own answers, so they are named here.
         stream = hashlib.sha256()
         queries = two_open = 0
         for style in ("exact_plus_offset", "woeginger"):

@@ -69,3 +69,13 @@ def test_references_take_only_the_node_constructors():
         elif isinstance(node, ast.Attribute):
             assert not node.attr.startswith("_"), node.attr
     assert taken == {"Const", "Var", "Not", "And", "Or"}
+
+
+def test_style_tables_hold_every_style():
+    # Tests iterate these tables, so a style or mode dropped from one would
+    # drop out of every test that reads it.
+    assert selfred.oracles.SELECTOR_STYLES == ("honest", "adversarial")
+    assert selfred.oracles.TALLY_STYLES == ("canonical", "collision_rich", "spread")
+    assert selfred.oracles.SPARSE_STYLES == ("singleton", "scatter")
+    assert selfred.oracles.ENUMERATOR_STYLES == ("exact_plus_offset", "woeginger")
+    assert selfred.pruning.SPARSE_MODES == ("early_accept", "capped_continue")

@@ -69,22 +69,7 @@ from references import (
     substituted,
     subtrees,
 )
-
-
-def formulas(max_vars: int = 4, max_leaves: int = 8) -> st.SearchStrategy:
-    leaf = st.one_of(
-        st.builds(Var, st.integers(1, max_vars)),
-        st.sampled_from([Const(True), Const(False)]),
-    )
-    return st.recursive(
-        leaf,
-        lambda inner: st.one_of(
-            st.builds(Not, inner),
-            st.lists(inner, min_size=2, max_size=3).map(lambda cs: And(*cs)),
-            st.lists(inner, min_size=2, max_size=3).map(lambda cs: Or(*cs)),
-        ),
-        max_leaves=max_leaves,
-    )
+from strategies import SMALL_FORMULAS, VarSubclass, formulas
 
 
 class TestParse:
@@ -138,7 +123,7 @@ class TestSerialize:
             assert serialize(parse(once)) == once
 
     @settings(max_examples=200, deadline=None)
-    @given(formulas())
+    @given(SMALL_FORMULAS)
     def test_roundtrip_property(self, formula):
         text = serialize(formula)
         assert serialize(parse(text)) == text
@@ -170,7 +155,7 @@ class TestSimplify:
             assert not has_embedded_const(simplify(parse(text)))
 
     @settings(max_examples=200, deadline=None)
-    @given(formulas())
+    @given(SMALL_FORMULAS)
     def test_idempotent(self, formula):
         once = simplify(formula)
         assert simplify(once) == once
@@ -363,11 +348,11 @@ class TestFirstModel:
 STORED_AND_ASKED = st.one_of(
     st.tuples(
         st.lists(st.dictionaries(st.integers(1, 6), st.booleans()), max_size=6),
-        st.lists(formulas(max_vars=6), min_size=1, max_size=5),
+        st.lists(formulas(st.integers(1, 6), 8), min_size=1, max_size=5),
     ),
     st.tuples(
         st.lists(st.dictionaries(st.integers(1, 8), st.booleans()), max_size=40),
-        st.lists(formulas(max_vars=8, max_leaves=14), min_size=1, max_size=4),
+        st.lists(formulas(st.integers(1, 8), 14), min_size=1, max_size=4),
     ),
 )
 
@@ -769,7 +754,7 @@ def reference_serialize(formula, context=0):
 
 class TestCachedKernel:
     @settings(max_examples=300, deadline=None)
-    @given(formulas(max_vars=6, max_leaves=12))
+    @given(formulas(st.integers(1, 6), 12))
     def test_matches_uncached_reference(self, formula):
         for _ in range(2):  # the second round reads the caches
             assert serialize(formula) == reference_serialize(formula)
@@ -780,7 +765,7 @@ class TestCachedKernel:
                 assert serialize(node) == reference_serialize(node)
 
     @settings(max_examples=200, deadline=None)
-    @given(formulas(max_vars=6, max_leaves=12), st.booleans())
+    @given(formulas(st.integers(1, 6), 12), st.booleans())
     def test_split_keeps_children_without_the_variable(self, formula, value):
         formula = simplify(formula)
         if not isinstance(formula, (And, Or)):
@@ -895,10 +880,6 @@ class TestCachedKernel:
         assert raised == []
 
 
-class VarSubclass(Var):
-    __slots__ = ()
-
-
 # Walkers dispatch on exact node classes, so a subclass instance is no formula.
 NOT_FORMULAS = [
     5, "x1", None, And(Var(1), 5), Not(None), VarSubclass(1), Or(VarSubclass(1), Var(2))
@@ -964,7 +945,7 @@ class TestMalformedInput:
 
 
 # Every formula strategy the split has been checked on.
-SPLIT_INPUTS = st.one_of(formulas(max_vars=5, max_leaves=14), formulas(max_vars=6, max_leaves=12), formulas())
+SPLIT_INPUTS = st.one_of(formulas(st.integers(1, 5), 14), formulas(st.integers(1, 6), 12), SMALL_FORMULAS)
 
 
 class TestOneWalkSplit:
@@ -1028,7 +1009,7 @@ class TestOneWalkSplit:
 
 class TestCofactorMemo:
     @settings(max_examples=300, deadline=None)
-    @given(formulas(max_vars=5, max_leaves=10), formulas(max_vars=5, max_leaves=10))
+    @given(formulas(st.integers(1, 5), 10), formulas(st.integers(1, 5), 10))
     def test_shared_subtrees_split_as_fresh(self, left, right):
         # F, F & G and !F | G share F (or its children) by identity; one memo
         # serves every split of all three on every variable.
@@ -1114,7 +1095,7 @@ TRUTHY_OR_NOT = st.sampled_from([True, False, 0, 1, 2, -1, "", "a", None, [], [0
 class TestEvaluateByTruthTable:
     @settings(max_examples=300, deadline=None)
     @given(
-        st.one_of(formulas(max_vars=6, max_leaves=14), formulas(max_vars=3, max_leaves=6)),
+        st.one_of(formulas(st.integers(1, 6), 14), formulas(st.integers(1, 3), 6)),
         st.dictionaries(st.integers(1, 12), TRUTHY_OR_NOT),
         st.data(),
     )
@@ -1133,7 +1114,7 @@ class TestEvaluateByTruthTable:
         assert brute_force_count(ground) == int(result)
 
     @settings(max_examples=300, deadline=None)
-    @given(formulas(max_vars=6, max_leaves=14), st.data())
+    @given(formulas(st.integers(1, 6), 14), st.data())
     def test_a_missing_variable_is_named(self, formula, data):
         occurring = sorted(variables(formula))
         if not occurring:
@@ -1209,7 +1190,7 @@ def walks_of(monkeypatch, node) -> list[int]:
 
 class TestConstantAwareTables:
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(formulas(), formulas(max_vars=8, max_leaves=16), many_variable_formulas()))
+    @given(st.one_of(SMALL_FORMULAS, formulas(st.integers(1, 8), 16), many_variable_formulas()))
     def test_count_and_lowest_model_by_enumeration(self, formula):
         expected = count(formula)
         assert brute_force_count(formula) == expected
@@ -1320,7 +1301,7 @@ class TestBlockInvariantSubtables:
 
 class TestOneStepCopies:
     @settings(max_examples=300, deadline=None)
-    @given(formulas(max_vars=8, max_leaves=16), st.integers(1, 40))
+    @given(formulas(st.integers(1, 8), 16), st.integers(1, 40))
     def test_the_simplified_mark_is_kept(self, formula, start):
         copy = place_variables(formula, start)  # of an unsimplified source
         simple = simplify(formula)

@@ -16,7 +16,6 @@ from selfred.formula import (
     TRUE,
     And,
     Const,
-    Not,
     Or,
     Var,
     brute_force_count,
@@ -37,19 +36,7 @@ from selfred.oracles import (
 from selfred.pruning import decide_via_sparse
 
 from references import count, is_flat, reference_variables, renamed
-
-
-def trees(indices: st.SearchStrategy[int], max_leaves: int = 10) -> st.SearchStrategy:
-    leaf = st.one_of(st.builds(Var, indices), st.sampled_from([TRUE, FALSE]))
-    return st.recursive(
-        leaf,
-        lambda inner: st.one_of(
-            st.builds(Not, inner),
-            st.lists(inner, min_size=2, max_size=3).map(lambda cs: And(*cs)),
-            st.lists(inner, min_size=2, max_size=3).map(lambda cs: Or(*cs)),
-        ),
-        max_leaves=max_leaves,
-    )
+from strategies import formulas
 
 
 # Indices past the widest cached mask (1 024 bits) as well as small ones.
@@ -62,7 +49,7 @@ def in_order(formula, start: int) -> dict[int, int]:
 
 class TestVariables:
     @settings(max_examples=50, deadline=None)
-    @given(trees(WIDE_INDICES))
+    @given(formulas(WIDE_INDICES, 10))
     def test_the_set_bits_of_the_mask(self, formula):
         mask = variable_mask(formula)
         assert variables(formula) == {i for i in range(mask.bit_length()) if mask >> i & 1}
@@ -72,7 +59,7 @@ class TestPlaceVariables:
     @settings(max_examples=300, deadline=None)
     @given(
         st.one_of(
-            trees(WIDE_INDICES), trees(st.integers(1, 6), max_leaves=8), trees(st.integers(1, 8), max_leaves=16)
+            formulas(WIDE_INDICES, 10), formulas(st.integers(1, 6), 8), formulas(st.integers(1, 8), 16)
         ),
         st.integers(1, 40),
     )
@@ -86,7 +73,7 @@ class TestPlaceVariables:
         assert variable_mask(placed) == ((1 << k) - 1) << start
 
     @settings(max_examples=30, deadline=None)
-    @given(trees(st.integers(1, 12)), st.integers(1, 40))
+    @given(formulas(st.integers(1, 12), 10), st.integers(1, 40))
     def test_a_formula_in_place_is_returned_itself(self, formula, start):
         placed = renamed(formula, in_order(formula, start))
         assert place_variables(placed, start) is placed
@@ -106,9 +93,6 @@ class TestTallyString:
     def test_matches_the_letterwise_test(self, text):
         assert is_tally_string(text) == all(ch == "0" for ch in text)
 
-    def test_empty_string(self):
-        assert is_tally_string("")
-
 
 # Block widths that put formulas of 0-8 variables on both sides of the
 # single-block edge, and the real width, where all of them fit one block.
@@ -118,7 +102,7 @@ BLOCK_WIDTHS = (2, 4, formula_module._BLOCK_VARS)
 class TestOnePassTruthTable:
     @pytest.mark.parametrize("width", BLOCK_WIDTHS)
     @settings(max_examples=30, deadline=None)
-    @given(formula=trees(st.integers(1, 8), max_leaves=14))
+    @given(formula=formulas(st.integers(1, 8), 14))
     def test_matches_enumeration(self, width, formula):
         expected = count(formula)
         with mock.patch.object(formula_module, "_BLOCK_VARS", width):

@@ -1,3 +1,4 @@
+import re
 import time
 from collections import Counter
 from itertools import combinations
@@ -48,6 +49,7 @@ from selfred.pruning import decide_via_sparse, decide_via_tally
 from selfred.selector import decide_via_selector
 
 from references import evaluated, reference_variables
+from strategies import CONSTANTS, trees
 
 
 @pytest.fixture(scope="module")
@@ -214,7 +216,7 @@ class TestTallyReduction:
         with pytest.raises(ValueError):
             simulated_tally_reduction("bogus")
 
-    @pytest.mark.parametrize("style", ["canonical", "collision_rich", "spread"])
+    @pytest.mark.parametrize("style", TALLY_STYLES)
     def test_reduction_contract_on_corpus(self, style, corpus):
         # Membership in the internal tally set is equivalent to satisfiability:
         # canonical T = {00}, collision_rich T = {0}, spread T = even zeros.
@@ -249,7 +251,7 @@ class TestSparseCoReduction:
         g2 = simulated_sparse_coreduction("scatter")
         assert g2.q(10) == 22
 
-    @pytest.mark.parametrize("style", ["singleton", "scatter"])
+    @pytest.mark.parametrize("style", SPARSE_STYLES)
     def test_coreduction_contract_on_corpus(self, style, corpus):
         g = simulated_sparse_coreduction(style, seed=1)
         in_sparse_set = lambda img: img.startswith("1")
@@ -258,6 +260,15 @@ class TestSparseCoReduction:
             assert in_sparse_set(image) == (not brute_force_sat(formula))
             assert len(image) <= g.r(len(serialize(formula)))
             assert g.map(formula) == image  # functional
+
+    @pytest.mark.parametrize("bound", [lambda n: 1, (1,)], ids=["function", "tuple"])
+    def test_bounds_must_be_polynomial_bounds(self, bound):
+        # Refused when built, so decide_via_sparse never reads coefficients
+        # off something that has none.
+        one = PolynomialBound((1,))
+        for q, r in ((bound, one), (one, bound)):
+            with pytest.raises(InvalidBound, match=re.escape(repr(bound))):
+                SparseCoReductionOracle(lambda f: "0", q, r)
 
     def test_call_counters(self):
         g = simulated_tally_reduction("canonical")
@@ -271,7 +282,7 @@ class TestSparseCoReduction:
     def test_census_bound(self, corpus):
         # The sparse set is exactly the set of images of unsatisfiable inputs;
         # count its members per length and compare against q.
-        for style in ("singleton", "scatter"):
+        for style in SPARSE_STYLES:
             g = simulated_sparse_coreduction(style, seed=5)
             members = {g.map(f) for f in corpus if not brute_force_sat(f)}
             for n in range(0, 40):
@@ -290,11 +301,11 @@ class TestTwoEnumerator:
         assert h.enumerate(parse("x1 & x2")) == [0, 1]
 
     def test_constant_membership(self):
-        for style in ("exact_plus_offset", "woeginger"):
+        for style in ENUMERATOR_STYLES:
             assert 1 in honest_two_enumerator(style).enumerate(Const(True))
 
     def test_output_shape(self, corpus):
-        for style in ("exact_plus_offset", "woeginger"):
+        for style in ENUMERATOR_STYLES:
             h = honest_two_enumerator(style, seed=3)
             for formula in corpus:
                 listed = h.enumerate(formula)
@@ -316,7 +327,7 @@ class TestTwoEnumerator:
         h.enumerate(Var(1))
         assert h.call_counter == 2
 
-    @pytest.mark.parametrize("style", ["exact_plus_offset", "woeginger"])
+    @pytest.mark.parametrize("style", ENUMERATOR_STYLES)
     def test_each_query_is_serialized_once(self, monkeypatch, style):
         calls = []
         monkeypatch.setattr(oracles_module, "serialize", lambda f: calls.append(f) or serialize(f))
@@ -380,16 +391,7 @@ def literals(indices) -> st.SearchStrategy:
 
 
 def bodies(indices=(5, 6, 7, 8)) -> st.SearchStrategy:
-    leaf = st.one_of(literals(indices), st.sampled_from([Const(True), Const(False)]))
-    return st.recursive(
-        leaf,
-        lambda inner: st.one_of(
-            st.builds(Not, inner),
-            st.lists(inner, min_size=2, max_size=3).map(lambda cs: And(*cs)),
-            st.lists(inner, min_size=2, max_size=3).map(lambda cs: Or(*cs)),
-        ),
-        max_leaves=5,
-    )
+    return trees(st.one_of(literals(indices), CONSTANTS), 5)
 
 
 @st.composite
@@ -411,7 +413,7 @@ def exclusive_disjunctions(draw, selectors, extras) -> Or:
 
 
 # Extras of a disjunct: a body, a constant, or a nested exclusive disjunction.
-FLAT_EXTRAS = st.one_of(bodies(), st.sampled_from([Const(True), Const(False)]))
+FLAT_EXTRAS = st.one_of(bodies(), CONSTANTS)
 EXCLUSIVE = exclusive_disjunctions(
     (1, 2, 3), st.one_of(FLAT_EXTRAS, exclusive_disjunctions((9, 10), FLAT_EXTRAS))
 )

@@ -77,14 +77,14 @@ class TestTallyDecider:
         assert decide_via_tally(parse("T & F"), oracle)[0] is False
         assert oracle.call_counter == 0
 
-    @pytest.mark.parametrize("style", ["canonical", "collision_rich", "spread"])
+    @pytest.mark.parametrize("style", TALLY_STYLES)
     def test_agrees_with_brute_force(self, style, corpus):
         oracle = simulated_tally_reduction(style)
         for formula in corpus:
             verdict, _ = decide_via_tally(formula, oracle)
             assert verdict == brute_force_sat(formula)
 
-    @pytest.mark.parametrize("style", ["canonical", "spread"])
+    @pytest.mark.parametrize("style", TALLY_STYLES)
     def test_width_bounded_by_image_length(self, style, corpus):
         oracle = simulated_tally_reduction(style)
         for formula in corpus[:120]:
@@ -174,8 +174,8 @@ class TestSparseDecider:
         assert decide_via_sparse(Const(False), oracle)[0] is False
         assert decide_via_sparse(parse("T | F"), oracle)[0] is True
 
-    @pytest.mark.parametrize("style", ["singleton", "scatter"])
-    @pytest.mark.parametrize("mode", ["early_accept", "capped_continue"])
+    @pytest.mark.parametrize("style", SPARSE_STYLES)
+    @pytest.mark.parametrize("mode", SPARSE_MODES)
     def test_agrees_with_brute_force(self, style, mode, corpus):
         oracle = simulated_sparse_coreduction(style, seed=4)
         for formula in corpus:
@@ -185,7 +185,7 @@ class TestSparseDecider:
                 assert brute_force_sat(formula)
 
     def test_mode_equivalence(self, corpus):
-        for style in ("singleton", "scatter"):
+        for style in SPARSE_STYLES:
             oracle = simulated_sparse_coreduction(style, seed=8)
             for formula in corpus[:120]:
                 early, _ = decide_via_sparse(formula, oracle, "early_accept")

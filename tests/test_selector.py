@@ -16,9 +16,7 @@ from selfred.generate import generate_corpus
 from selfred.oracles import SelectorOracle, adversarial_selector, honest_selector
 from selfred.selector import decide_via_selector
 
-
-class VarSubclass(Var):
-    __slots__ = ()
+from strategies import VarSubclass
 
 
 class TestExamples:

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from selfred import cli
 from selfred.counting import combine
-from selfred.formula import And, Const, Not, Or, Var, parse, serialize
+from selfred.formula import parse, serialize
 from selfred.generate import generate_random
 from selfred.oracles import (
     PolynomialBound,
@@ -31,6 +31,8 @@ from selfred.oracles import (
     simulated_sparse_coreduction,
 )
 from selfred.pruning import SPARSE_MODES
+
+from strategies import formulas
 
 
 def path_rows(raw):
@@ -144,22 +146,6 @@ def run_against_reference(config, make_oracle=None):
     return lines, records
 
 
-def small_formulas(max_vars: int = 8) -> st.SearchStrategy:
-    leaf = st.one_of(
-        st.builds(Var, st.integers(1, max_vars)),
-        st.sampled_from([Const(True), Const(False)]),
-    )
-    return st.recursive(
-        leaf,
-        lambda inner: st.one_of(
-            st.builds(Not, inner),
-            st.lists(inner, min_size=2, max_size=3).map(lambda cs: And(*cs)),
-            st.lists(inner, min_size=2, max_size=3).map(lambda cs: Or(*cs)),
-        ),
-        max_leaves=12,
-    )
-
-
 SETTINGS = [
     (algorithm, style, mode)
     for algorithm, entry in cli.ALGORITHMS.items()
@@ -171,7 +157,7 @@ SETTINGS = [
 @pytest.mark.parametrize("algorithm, style, mode", SETTINGS)
 @settings(max_examples=25, deadline=None)
 @given(
-    formulas=st.lists(small_formulas(), min_size=1, max_size=6),
+    formulas=st.lists(formulas(st.integers(1, 8), 12), min_size=1, max_size=6),
     seed=st.integers(0, 5),
     verify=st.booleans(),
 )

@@ -83,6 +83,18 @@ NAMED = [
     ),
     (
         "src/selfred/oracles.py",
+        "self.call_counter += 1\n        first = self._query(a, b)",
+        "first = self._query(a, b)",
+        "tests/test_oracles.py::TestSelectors::test_call_counter",
+    ),
+    (
+        "src/selfred/oracles.py",
+        "self.call_counter += 1\n        values = self._query(formula)",
+        "values = self._query(formula)",
+        "tests/test_oracles.py::TestTwoEnumerator::test_call_counter",
+    ),
+    (
+        "src/selfred/oracles.py",
         "if not isinstance(image, str):",
         "if False:",
         "tests/test_pruning.py::TestImageContract::test_sparse_image_must_be_a_string",
